@@ -613,17 +613,16 @@ pub trait MutableSource: SourceWrapper {
 
 impl MutableSource for FullAccessWrapper {
     fn apply_changes(&mut self, changes: &[ChangeRecord], report: &mut ApplyReport) {
-        // Defer the per-table statistics refresh to the end of the batch:
-        // indexes stay exact per-record, stats are recomputed once per
-        // dirty table instead of once per record.
-        self.database_mut().with_stats_deferred(|db| {
-            for (i, change) in changes.iter().enumerate() {
-                match change.apply(db) {
-                    Ok(_) => report.applied += 1,
-                    Err(e) => report.rejected.push((i, e)),
-                }
+        // Indexes and join counters are maintained per record in O(row),
+        // so applying a batch costs O(batch) however large the tables are.
+        // The resync that follows re-reads each FK's NMI from its counters.
+        let db = self.database_mut();
+        for (i, change) in changes.iter().enumerate() {
+            match change.apply(db) {
+                Ok(_) => report.applied += 1,
+                Err(e) => report.rejected.push((i, e)),
             }
-        });
+        }
     }
 }
 
@@ -632,9 +631,8 @@ impl<W: SourceWrapper + MutableSource> CachedEngine<W> {
     ///
     /// Each record applies — or is rejected — **independently and
     /// deterministically** through the database's checked mutation API
-    /// (referential integrity enforced, inverted indexes maintained
-    /// per-record, statistics refreshed once per dirty table at the end of
-    /// the batch). A rejected record does not stop the batch; the report
+    /// (referential integrity enforced, inverted indexes and join counters
+    /// maintained per record). A rejected record does not stop the batch; the report
     /// says exactly which indices were rejected and why. These per-record
     /// semantics are what make the write-ahead protocol sound: the caller
     /// logs the whole batch *before* applying it, and because a rejection

@@ -15,14 +15,17 @@
 //!   unsharded database's check order and error strings; referential
 //!   integrity is enforced *globally* by the store (shard catalogs carry no
 //!   foreign keys, so a shard never rejects a cross-shard reference).
-//!   Scores and statistics merge through the mergeable-accumulator APIs of
-//!   `relstore` ([`ScoreAccumulator`](relstore::index::ScoreAccumulator),
-//!   [`AttributeStatsAccumulator`](relstore::stats::AttributeStatsAccumulator),
-//!   [`JoinStatsAccumulator`](relstore::stats::JoinStatsAccumulator)):
+//!   Scores and attribute statistics merge through the mergeable
+//!   accumulators of `relstore`
+//!   ([`ScoreAccumulator`](relstore::index::ScoreAccumulator),
+//!   [`AttributeStatsAccumulator`](relstore::stats::AttributeStatsAccumulator)):
 //!   integer state (df, doc counts, lengths) sums across shards, and every
 //!   floating-point expression is evaluated **once** from the merged
 //!   integers — which is what makes the merge exact rather than
-//!   approximately associative.
+//!   approximately associative. Join statistics need no merge: the store
+//!   keeps the global per-foreign-key counters
+//!   ([`JoinCountSet`](relstore::stats::JoinCountSet)) itself and updates
+//!   them from each routed mutation in O(1).
 //! * [`ShardedWrapper`] / [`ScatterGather`] — a
 //!   [`SourceWrapper`](quest_core::SourceWrapper) over the store plus a
 //!   cached serving engine. One scatter per keyword precomputes the whole

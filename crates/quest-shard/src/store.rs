@@ -4,9 +4,15 @@
 //!
 //! * **Integer domain first.** Everything that crosses a shard boundary is
 //!   an integer: document counts, total token lengths, per-token document
-//!   frequencies, max term frequencies, row/null/distinct counts, join
-//!   pair counts. Integer sums and maxes are exactly associative, so the
-//!   merge order cannot perturb them.
+//!   frequencies, max term frequencies, row/null/distinct counts. Integer
+//!   sums and maxes are exactly associative, so the merge order cannot
+//!   perturb them.
+//! * **Join counters at the gateway.** Shard catalogs carry no foreign keys,
+//!   so shards keep no join statistics. The store keeps the *global*
+//!   per-foreign-key counters ([`JoinCountSet`]) and folds every routed
+//!   mutation into them in O(1), probing target liveness on the owning
+//!   shard — the same counters, the same NMI evaluation, as the unsharded
+//!   database.
 //! * **One float evaluation.** Every floating-point expression (idf, tf
 //!   saturation, normalization, NMI entropy) is evaluated **once**, from
 //!   the merged integers, through the *same* code path the unsharded
@@ -18,19 +24,20 @@
 //!   operation, and max is exact.
 //! * **Global checks, local storage.** Shard catalogs carry no foreign
 //!   keys; the store performs every referential-integrity check globally
-//!   (routing each probe by PK hash) *before* any shard mutates, and
-//!   reproduces the unsharded database's check order and error strings.
+//!   (routing each probe by PK hash, and answering "is this key still
+//!   referenced?" from the gateway's counters) *before* any shard mutates,
+//!   and reproduces the unsharded database's check order and error strings.
 //!   Records a shard is asked to apply therefore never fail locally, which
 //!   is what keeps per-shard WAL replay deterministic.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, OnceLock};
 
 use quest_serve::ApplyReport;
 use quest_wal::ChangeRecord;
 use relstore::index::{KeywordProbe, ScoreAccumulator};
 use relstore::sql::{ResultSet, SelectStatement};
-use relstore::stats::{AttributeStats, AttributeStatsAccumulator, JoinStats, JoinStatsAccumulator};
+use relstore::stats::{AttributeStats, AttributeStatsAccumulator, JoinCountSet, JoinStats};
 use relstore::{
     AttrId, Catalog, Database, ForeignKey, Row, RowId, StoreError, TableData, TableId, Value,
 };
@@ -79,38 +86,31 @@ where
     })
 }
 
-/// Publish one scatter's per-shard walls: the labeled latency histograms,
-/// the thread-local handoff that feeds the serving layer's query trace, and
-/// the fan-out imbalance gauge (busiest shard's overrun of the mean, whole
-/// percent).
-fn record_scatter(sums: &[u64]) {
-    let registry = quest_obs::global();
-    for (s, &ns) in sums.iter().enumerate() {
-        registry
-            .histogram_with(crate::names::SCATTER, &[("shard", &s.to_string())])
-            .record(ns);
-        quest_obs::scatter::record(s, ns / 1_000);
-    }
-    let total: u64 = sums.iter().sum();
-    let mean = total / sums.len().max(1) as u64;
-    let max = sums.iter().copied().max().unwrap_or(0);
-    // A zero mean means the scatter was too fast to resolve: leave the
-    // gauge alone rather than publish a meaningless 0-vs-0 comparison.
-    if let Some(pct) = ((max - mean) * 100).checked_div(mean) {
-        registry
-            .gauge(crate::names::FANOUT_IMBALANCE)
-            .set(i64::try_from(pct).unwrap_or(i64::MAX));
-    }
+/// Whether `key` is a live primary key of `table`, probing only the shard
+/// the key hashes to.
+fn pk_live(shards: &[Database], partitioner: &Partitioner, table: TableId, key: &Value) -> bool {
+    let key = std::slice::from_ref(key);
+    shards[partitioner.shard_of_key(key)]
+        .table_data(table)
+        .lookup_pk(key)
+        .is_some()
 }
 
-/// Count one scatter's read amplification: probes issued (every
-/// `(attribute, shard)` pair the fan-out touched) versus results the
-/// gather used (attribute slots whose merged score came back nonzero —
-/// a zero slot contributes nothing to emission downstream).
-fn record_scatter_amplification(probes: usize, scores: &[f64]) {
-    let registry = quest_obs::global();
-    static DESCRIBE: std::sync::Once = std::sync::Once::new();
-    DESCRIBE.call_once(|| {
+/// The scatter's metric handles in the global registry, resolved once per
+/// store on its first instrumented scatter: per-call lookups would take
+/// the registry mutex and allocate a label string per shard per scatter.
+#[derive(Debug)]
+struct ScatterMetrics {
+    /// `quest_shard_scatter_ns{shard=<i>}`, indexed by shard.
+    per_shard: Vec<quest_obs::Histogram>,
+    imbalance: quest_obs::Gauge,
+    probes: quest_obs::Counter,
+    used: quest_obs::Counter,
+}
+
+impl ScatterMetrics {
+    fn resolve(shard_count: usize) -> ScatterMetrics {
+        let registry = quest_obs::global();
         registry.describe(
             crate::names::SCATTER_PROBES,
             "Per-shard probes issued by keyword scatters (attributes x shards).",
@@ -119,18 +119,51 @@ fn record_scatter_amplification(probes: usize, scores: &[f64]) {
             crate::names::SCATTER_USED,
             "Scatter results the gather used (nonzero merged attribute scores).",
         );
-    });
-    registry
-        .counter(crate::names::SCATTER_PROBES)
-        .add(probes as u64);
-    let used = scores.iter().filter(|s| **s != 0.0).count();
-    registry
-        .counter(crate::names::SCATTER_USED)
-        .add(used as u64);
+        ScatterMetrics {
+            per_shard: (0..shard_count)
+                .map(|s| {
+                    registry.histogram_with(crate::names::SCATTER, &[("shard", &s.to_string())])
+                })
+                .collect(),
+            imbalance: registry.gauge(crate::names::FANOUT_IMBALANCE),
+            probes: registry.counter(crate::names::SCATTER_PROBES),
+            used: registry.counter(crate::names::SCATTER_USED),
+        }
+    }
+
+    /// Publish one scatter's per-shard walls: the labeled latency
+    /// histograms, the thread-local handoff that feeds the serving layer's
+    /// query trace, and the fan-out imbalance gauge (busiest shard's
+    /// overrun of the mean, whole percent).
+    fn record_scatter(&self, sums: &[u64]) {
+        for ((s, &ns), histogram) in sums.iter().enumerate().zip(&self.per_shard) {
+            histogram.record(ns);
+            quest_obs::scatter::record(s, ns / 1_000);
+        }
+        let total: u64 = sums.iter().sum();
+        let mean = total / sums.len().max(1) as u64;
+        let max = sums.iter().copied().max().unwrap_or(0);
+        // A zero mean means the scatter was too fast to resolve: leave the
+        // gauge alone rather than publish a meaningless 0-vs-0 comparison.
+        if let Some(pct) = ((max - mean) * 100).checked_div(mean) {
+            self.imbalance.set(i64::try_from(pct).unwrap_or(i64::MAX));
+        }
+    }
+
+    /// Count one scatter's read amplification: probes issued (every
+    /// `(attribute, shard)` pair the fan-out touched) versus results the
+    /// gather used (attribute slots whose merged score came back nonzero —
+    /// a zero slot contributes nothing to emission downstream).
+    fn record_amplification(&self, probes: usize, scores: &[f64]) {
+        self.probes.add(probes as u64);
+        let used = scores.iter().filter(|s| **s != 0.0).count();
+        self.used.add(used as u64);
+    }
 }
 
-/// A hash-partitioned database: one full catalog, N FK-less shards, merged
-/// statistics that are bit-identical to the unsharded computation.
+/// A hash-partitioned database: one full catalog, N FK-less shards, global
+/// join counters and merged statistics that are bit-identical to the
+/// unsharded computation.
 #[derive(Debug)]
 pub struct ShardedStore {
     /// The *full* catalog, foreign keys included — the schema queries and
@@ -140,17 +173,14 @@ pub struct ShardedStore {
     parallel: bool,
     /// One database per shard, each over `catalog.without_foreign_keys()`.
     shards: Vec<Database>,
-    /// Merged attribute statistics (bit-identical to the unsharded store).
-    attr_stats: HashMap<AttrId, AttributeStats>,
-    /// Merged join statistics (bit-identical NMI).
-    join_stats: HashMap<ForeignKey, JoinStats>,
-    /// When `Some`, statistics refresh is deferred: mutations record their
-    /// table here and the batch end recomputes each dirty table once.
-    stats_dirty: Option<BTreeSet<TableId>>,
+    /// Global per-foreign-key join counters over the union of the shards.
+    join_counts: JoinCountSet,
     /// Gathered scratch databases for join execution, keyed by the sorted
     /// FROM-table set; invalidated by every mutation. Interior-mutable so
     /// read paths (`execute`, `has_results`) can fill it.
     scratch: Mutex<HashMap<Vec<TableId>, Arc<Database>>>,
+    /// Scatter metric handles, resolved on the first instrumented scatter.
+    scatter_metrics: OnceLock<ScatterMetrics>,
 }
 
 impl ShardedStore {
@@ -158,13 +188,13 @@ impl ShardedStore {
     pub fn new(catalog: Catalog, config: &ShardConfig) -> Result<ShardedStore, ShardError> {
         let mut store = ShardedStore::empty(catalog, config)?;
         store.finalize_shards();
-        store.rebuild_all_stats();
+        store.rebuild_join_counts();
         Ok(store)
     }
 
     /// Shard an existing database: every row is routed by the hash of its
     /// primary key, shard indexes are built per shard (in parallel when
-    /// configured), and the merged statistics are computed once.
+    /// configured), and the global join counters are counted once.
     pub fn from_database(db: &Database, config: &ShardConfig) -> Result<ShardedStore, ShardError> {
         let mut store = ShardedStore::empty(db.catalog().clone(), config)?;
         for schema in db.catalog().tables() {
@@ -175,7 +205,7 @@ impl ShardedStore {
             }
         }
         store.finalize_shards();
-        store.rebuild_all_stats();
+        store.rebuild_join_counts();
         Ok(store)
     }
 
@@ -220,14 +250,13 @@ impl ShardedStore {
             partitioner: Partitioner::new(config)?,
             parallel: config.parallel,
             shards,
-            attr_stats: HashMap::new(),
-            join_stats: HashMap::new(),
-            stats_dirty: None,
+            join_counts: JoinCountSet::default(),
             scratch: Mutex::new(HashMap::new()),
+            scatter_metrics: OnceLock::new(),
         };
         store.finalize_shards();
         store.validate()?;
-        store.rebuild_all_stats();
+        store.rebuild_join_counts();
         Ok(store)
     }
 
@@ -243,10 +272,9 @@ impl ShardedStore {
             partitioner,
             parallel: config.parallel,
             shards,
-            attr_stats: HashMap::new(),
-            join_stats: HashMap::new(),
-            stats_dirty: None,
+            join_counts: JoinCountSet::default(),
             scratch: Mutex::new(HashMap::new()),
+            scatter_metrics: OnceLock::new(),
         })
     }
 
@@ -309,14 +337,27 @@ impl ShardedStore {
         self.shards.iter().map(|s| s.total_rows()).sum()
     }
 
-    /// Merged statistics of one attribute.
-    pub fn attr_stats(&self, attr: AttrId) -> Option<&AttributeStats> {
-        self.attr_stats.get(&attr)
+    /// Merged statistics of one attribute, computed from every shard's rows
+    /// on each call: integer partials absorbed per shard, finished once
+    /// (`None` for an id outside the catalog).
+    pub fn attr_stats(&self, attr: AttrId) -> Option<AttributeStats> {
+        if attr.0 as usize >= self.catalog.attribute_count() {
+            return None;
+        }
+        let table = self.catalog.attribute(attr).table;
+        let mut acc = AttributeStatsAccumulator::new();
+        for shard in &self.shards {
+            acc.absorb(&self.catalog, shard.table_data(table), attr);
+        }
+        Some(acc.finish())
     }
 
-    /// Merged statistics of one foreign key.
-    pub fn fk_stats(&self, fk: ForeignKey) -> Option<&JoinStats> {
-        self.join_stats.get(&fk)
+    /// Global join statistics of one foreign key, read from the gateway's
+    /// counters (`None` for a key outside the catalog).
+    pub fn fk_stats(&self, fk: ForeignKey) -> Option<JoinStats> {
+        let counts = self.join_counts.get(fk)?;
+        let rows = |attr: AttrId| self.row_count(self.catalog.attribute(attr).table) as u64;
+        Some(counts.stats(rows(fk.from), rows(fk.to)))
     }
 
     // ------------------------------------------------------------------
@@ -337,7 +378,7 @@ impl ShardedStore {
         // global uniqueness, and the error string matches the unsharded one
         // (same schema name, same key rendering).
         let rid = self.shards[shard].insert(table, row)?;
-        self.finish_mutation(tid);
+        self.finish_mutation(tid, None, Some((shard, rid)));
         Ok(rid)
     }
 
@@ -352,8 +393,9 @@ impl ShardedStore {
             .lookup_pk(key)
             .ok_or_else(|| StoreError::RowNotFound(format!("{}{}", schema.name, fmt_key(key))))?;
         self.check_pk_unreferenced_global(tid, shard, rid, None)?;
+        let old = self.shards[shard].table_data(tid).row(rid).clone();
         let rid = self.shards[shard].delete(table, key)?;
-        self.finish_mutation(tid);
+        self.finish_mutation(tid, Some(&old), None);
         Ok(rid)
     }
 
@@ -375,6 +417,7 @@ impl ShardedStore {
             self.check_pk_unreferenced_global(tid, shard, rid, Some(&row))?;
         }
         let new_shard = self.partitioner.shard_of_key(&new_key);
+        let old = self.shards[shard].table_data(tid).row(rid).clone();
         let rid = if new_shard == shard {
             self.shards[shard].update(table, key, row)?
         } else {
@@ -394,7 +437,7 @@ impl ShardedStore {
             self.shards[shard].delete(table, key)?;
             self.shards[new_shard].insert(table, row)?
         };
-        self.finish_mutation(tid);
+        self.finish_mutation(tid, Some(&old), Some((new_shard, rid)));
         Ok(rid)
     }
 
@@ -409,49 +452,12 @@ impl ShardedStore {
         }
     }
 
-    /// Apply a mutation batch with per-record accept/reject semantics and
-    /// statistics refresh deferred to the end of the batch — the sharded
-    /// twin of the unsharded `MutableSource` path: indexes stay exact per
-    /// record, every shard's local statistics and the merged statistics are
-    /// recomputed once per dirty table when the batch ends.
+    /// Apply a mutation batch with per-record accept/reject semantics — the
+    /// sharded twin of the unsharded `MutableSource` path: indexes and join
+    /// counters stay exact per record.
     pub fn apply_changes(&mut self, changes: &[ChangeRecord], report: &mut ApplyReport) {
-        /// Ends the deferral scopes on exit — including an unwind — so a
-        /// panicking record cannot leave refresh permanently disabled.
-        struct Scope<'a> {
-            store: &'a mut ShardedStore,
-            flags: Vec<bool>,
-            outermost: bool,
-        }
-        impl Drop for Scope<'_> {
-            fn drop(&mut self) {
-                for (shard, flag) in self.store.shards.iter_mut().zip(&self.flags) {
-                    shard.end_stats_deferred(*flag);
-                }
-                if self.outermost {
-                    if let Some(dirty) = self.store.stats_dirty.take() {
-                        for tid in dirty {
-                            self.store.recompute_stats_for(tid);
-                        }
-                    }
-                }
-            }
-        }
-        let flags: Vec<bool> = self
-            .shards
-            .iter_mut()
-            .map(|s| s.begin_stats_deferred())
-            .collect();
-        let outermost = self.stats_dirty.is_none();
-        if outermost {
-            self.stats_dirty = Some(BTreeSet::new());
-        }
-        let scope = Scope {
-            store: self,
-            flags,
-            outermost,
-        };
         for (i, change) in changes.iter().enumerate() {
-            match scope.store.apply_record(change) {
+            match self.apply_record(change) {
                 Ok(_) => report.applied += 1,
                 Err(e) => report.rejected.push((i, e)),
             }
@@ -459,10 +465,17 @@ impl ShardedStore {
     }
 
     /// Post-mutation bookkeeping: drop gathered scratch databases (their
-    /// rows are stale) and refresh the merged statistics of the table.
-    fn finish_mutation(&mut self, tid: TableId) {
+    /// rows are stale) and fold the row change into the global join
+    /// counters. `old` is the row before the mutation, `new` where the row
+    /// lives after it.
+    fn finish_mutation(&mut self, tid: TableId, old: Option<&Row>, new: Option<(usize, RowId)>) {
         self.scratch.lock().expect("scratch lock poisoned").clear();
-        self.recompute_stats_for(tid);
+        let new = new.map(|(s, rid)| self.shards[s].table_data(tid).row(rid));
+        let (shards, partitioner) = (&self.shards, &self.partitioner);
+        self.join_counts
+            .apply_row_change(&self.catalog, tid, old, new, |t, v| {
+                pk_live(shards, partitioner, t, v)
+            });
     }
 
     // ------------------------------------------------------------------
@@ -483,12 +496,7 @@ impl ShardedStore {
                 continue;
             }
             let target_table = self.catalog.attribute(fk.to).table;
-            let owner = self.partitioner.shard_of_key(std::slice::from_ref(v));
-            if self.shards[owner]
-                .table_data(target_table)
-                .lookup_pk(std::slice::from_ref(v))
-                .is_none()
-            {
+            if !pk_live(&self.shards, &self.partitioner, target_table, v) {
                 return Err(StoreError::ForeignKeyViolation(format!(
                     "{} = {v} has no target in {}",
                     self.catalog.qualified_name(fk.from),
@@ -501,9 +509,9 @@ impl ShardedStore {
 
     /// Restrictive referential check before a delete or PK-changing update
     /// of the row at `(tid, victim_shard, victim_rid)`: no live row on any
-    /// shard may reference the victim's current primary key. The victim is
-    /// skipped on delete and judged by `replacement` on update, exactly
-    /// like the unsharded check.
+    /// shard may reference the victim's current primary key. Answered from
+    /// the global join counters — one lookup per foreign key, with the
+    /// unsharded check's decisions and error strings.
     fn check_pk_unreferenced_global(
         &self,
         tid: TableId,
@@ -512,35 +520,8 @@ impl ShardedStore {
         replacement: Option<&Row>,
     ) -> Result<(), StoreError> {
         let victim = self.shards[victim_shard].table_data(tid).row(victim_rid);
-        for fk in self.catalog.foreign_keys() {
-            let to = self.catalog.attribute(fk.to);
-            if to.table != tid {
-                continue;
-            }
-            let pk_val = victim.get(to.position);
-            let from = self.catalog.attribute(fk.from);
-            for (s, shard) in self.shards.iter().enumerate() {
-                for (r_rid, r_row) in shard.table_data(from.table).iter() {
-                    let row = if s == victim_shard && from.table == tid && r_rid == victim_rid {
-                        match replacement {
-                            Some(new_row) => new_row,
-                            None => continue, // delete: self-reference dies too
-                        }
-                    } else {
-                        r_row
-                    };
-                    let v = row.get(from.position);
-                    if !v.is_null() && v == pk_val {
-                        return Err(StoreError::ForeignKeyViolation(format!(
-                            "{} = {v} still references {}",
-                            self.catalog.qualified_name(fk.from),
-                            self.catalog.qualified_name(fk.to)
-                        )));
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.join_counts
+            .check_unreferenced(&self.catalog, tid, victim, replacement)
     }
 
     /// Full integrity check of the shard set: every shard's structural
@@ -573,12 +554,7 @@ impl ShardedStore {
                     if v.is_null() {
                         continue;
                     }
-                    let owner = self.partitioner.shard_of_key(std::slice::from_ref(v));
-                    if self.shards[owner]
-                        .table_data(target_table)
-                        .lookup_pk(std::slice::from_ref(v))
-                        .is_none()
-                    {
+                    if !pk_live(&self.shards, &self.partitioner, target_table, v) {
                         return Err(ShardError::Store(StoreError::ForeignKeyViolation(format!(
                             "{} = {v}",
                             self.catalog.qualified_name(fk.from)
@@ -590,77 +566,18 @@ impl ShardedStore {
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Merged statistics
-    // ------------------------------------------------------------------
-
-    /// Merged attribute statistics: integer partials absorbed per shard,
-    /// finished once.
-    fn merged_attribute_stats(&self, attr: AttrId) -> AttributeStats {
-        let table = self.catalog.attribute(attr).table;
-        let mut acc = AttributeStatsAccumulator::new();
-        for shard in &self.shards {
-            acc.absorb(&self.catalog, shard.table_data(table), attr);
-        }
-        acc.finish()
-    }
-
-    /// Merged join statistics: unfiltered per-shard counts plus the live
-    /// referenced-PK set, filtered and entropy-evaluated once at the end.
-    fn merged_join_stats(&self, fk: ForeignKey) -> JoinStats {
-        let from_table = self.catalog.attribute(fk.from).table;
-        let to_table = self.catalog.attribute(fk.to).table;
-        let mut acc = JoinStatsAccumulator::new();
-        for shard in &self.shards {
-            acc.absorb_referencing(&self.catalog, fk, shard.table_data(from_table));
-        }
-        for shard in &self.shards {
-            acc.absorb_referenced(&self.catalog, fk, shard.table_data(to_table));
-        }
-        acc.finish()
-    }
-
-    /// Refresh the merged statistics a mutation of `tid` can change (or
-    /// mark the table dirty inside a deferral scope).
-    fn recompute_stats_for(&mut self, tid: TableId) {
-        if let Some(dirty) = &mut self.stats_dirty {
-            dirty.insert(tid);
-            return;
-        }
-        let attrs = self.catalog.table(tid).attributes.clone();
-        let astats: Vec<(AttrId, AttributeStats)> = attrs
-            .iter()
-            .map(|a| (*a, self.merged_attribute_stats(*a)))
-            .collect();
-        for (a, s) in astats {
-            self.attr_stats.insert(a, s);
-        }
-        let jstats: Vec<(ForeignKey, JoinStats)> = self
-            .catalog
-            .fks_of_table(tid)
-            .into_iter()
-            .map(|fk| (fk, self.merged_join_stats(fk)))
-            .collect();
-        for (fk, s) in jstats {
-            self.join_stats.insert(fk, s);
-        }
-    }
-
-    /// Recompute every merged statistic from scratch, in parallel across
-    /// attributes when configured (each slot is independent; results land
-    /// in a fixed order, so parallelism cannot perturb anything).
-    fn rebuild_all_stats(&mut self) {
-        let n = self.catalog.attribute_count();
-        let astats = map_range(n, self.parallel, |a| {
-            let attr = AttrId(a as u32);
-            (attr, self.merged_attribute_stats(attr))
-        });
-        let fks: Vec<ForeignKey> = self.catalog.foreign_keys().to_vec();
-        let jstats = map_range(fks.len(), self.parallel, |i| {
-            (fks[i], self.merged_join_stats(fks[i]))
-        });
-        self.attr_stats = astats.into_iter().collect();
-        self.join_stats = jstats.into_iter().collect();
+    /// Count the global join counters from every shard's rows.
+    fn rebuild_join_counts(&mut self) {
+        let (shards, partitioner) = (&self.shards, &self.partitioner);
+        self.join_counts = JoinCountSet::build(
+            &self.catalog,
+            |t| {
+                shards
+                    .iter()
+                    .flat_map(move |s| s.table_data(t).iter().map(|(_, row)| row))
+            },
+            |t, v| pk_live(shards, partitioner, t, v),
+        );
     }
 
     // ------------------------------------------------------------------
@@ -776,8 +693,11 @@ impl ShardedStore {
                 sums[s] += ns;
             }
         }
-        record_scatter(&sums);
-        record_scatter_amplification(scores.len() * shard_count, &scores);
+        let metrics = self
+            .scatter_metrics
+            .get_or_init(|| ScatterMetrics::resolve(shard_count));
+        metrics.record_scatter(&sums);
+        metrics.record_amplification(scores.len() * shard_count, &scores);
         scores
     }
 
@@ -897,8 +817,8 @@ impl ShardedStore {
 
     /// Repartition into a new shard count. Rows are routed afresh by the
     /// same PK hash (deterministic order: tables, then source shards, then
-    /// row slots), shard indexes are rebuilt, and merged statistics are
-    /// recomputed — so an `n → m → n` round trip preserves every row and
+    /// row slots), shard indexes are rebuilt, and the join counters are
+    /// recounted — so an `n → m → n` round trip preserves every row and
     /// every merged score and statistic bit for bit (placement depends
     /// only on key hashes, never on history).
     pub fn rebalance(&self, config: &ShardConfig) -> Result<ShardedStore, ShardError> {
@@ -913,7 +833,7 @@ impl ShardedStore {
             }
         }
         store.finalize_shards();
-        store.rebuild_all_stats();
+        store.rebuild_join_counts();
         Ok(store)
     }
 }

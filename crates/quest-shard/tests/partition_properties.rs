@@ -138,6 +138,76 @@ fn opt(d: &Option<i64>) -> Value {
     }
 }
 
+/// Reference twin of the store's restrictive RI check: scan every
+/// referencing row on every shard for each FK into `table` (catalog
+/// order), skipping the victim on delete and judging it by `replacement`
+/// on update. `None` when the victim key has no live row.
+fn reference_check_unreferenced(
+    store: &ShardedStore,
+    table: &str,
+    key: i64,
+    replacement: Option<&Row>,
+) -> Option<Result<(), StoreError>> {
+    let c = store.catalog();
+    let tid = c.table_id(table).unwrap();
+    let key = [Value::Int(key)];
+    let victim_shard = store.partitioner().shard_of_key(&key);
+    let victim_rid = store.shard(victim_shard).table_data(tid).lookup_pk(&key)?;
+    let victim = store.shard(victim_shard).table_data(tid).row(victim_rid);
+    for fk in c.foreign_keys() {
+        let to = c.attribute(fk.to);
+        if to.table != tid {
+            continue;
+        }
+        let pk_val = victim.get(to.position);
+        let from = c.attribute(fk.from);
+        for (s, shard) in store.shards().iter().enumerate() {
+            for (r_rid, r_row) in shard.table_data(from.table).iter() {
+                let row = if s == victim_shard && from.table == tid && r_rid == victim_rid {
+                    match replacement {
+                        Some(new_row) => new_row,
+                        None => continue,
+                    }
+                } else {
+                    r_row
+                };
+                let v = row.get(from.position);
+                if !v.is_null() && v == pk_val {
+                    return Some(Err(StoreError::ForeignKeyViolation(format!(
+                        "{} = {v} still references {}",
+                        c.qualified_name(fk.from),
+                        c.qualified_name(fk.to)
+                    ))));
+                }
+            }
+        }
+    }
+    Some(Ok(()))
+}
+
+/// The twin's verdict for `op` when the store's RI check runs on it:
+/// deletes of live rows, and PK-changing movie updates whose director
+/// exists (the FK-target check runs first).
+fn twin_verdict(store: &ShardedStore, op: &Op) -> Option<Result<(), StoreError>> {
+    match op {
+        Op::DeletePerson(k) => reference_check_unreferenced(store, "person", *k, None),
+        Op::DeleteMovie(k) => reference_check_unreferenced(store, "movie", *k, None),
+        Op::UpdateMovie(k, nk, w, d) if k != nk => {
+            let person = store.catalog().table_id("person").unwrap();
+            let director_ok = d.is_none_or(|d| {
+                let key = [Value::Int(d)];
+                let s = store.partitioner().shard_of_key(&key);
+                store.shard(s).table_data(person).lookup_pk(&key).is_some()
+            });
+            let row = Row::new(vec![(*nk).into(), w.as_str().into(), opt(d)]);
+            director_ok
+                .then(|| reference_check_unreferenced(store, "movie", *k, Some(&row)))
+                .flatten()
+        }
+        _ => None,
+    }
+}
+
 /// Sorted multiset of a table's live rows, shard-order independent.
 fn row_multiset(shards: &[&Database], table: &str) -> Vec<Vec<Value>> {
     let mut rows: Vec<Vec<Value>> = Vec::new();
@@ -199,7 +269,16 @@ proptest! {
         let mut store = ShardedStore::new(catalog(), &shard_config(shards)).unwrap();
         for op in &ops {
             let expected = apply_db(&mut reference, op);
+            let twin = twin_verdict(&store, op);
             let got = apply_sharded(&mut store, op);
+            match twin {
+                None => {}
+                Some(Ok(())) => prop_assert!(
+                    got.is_ok() || matches!(got, Err(StoreError::DuplicateKey(_))),
+                    "twin accepted {:?}, store said {:?}", op, got
+                ),
+                Some(Err(e)) => prop_assert_eq!(got.clone().unwrap_err(), e),
+            }
             match (&expected, &got) {
                 (Ok(()), Ok(())) => {}
                 (Err(e), Err(g)) => prop_assert_eq!(

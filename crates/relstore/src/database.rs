@@ -1,12 +1,12 @@
 //! The `Database`: catalog + table data + full-text indexes + statistics.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use crate::error::StoreError;
 use crate::index::inverted::{AttributeIndex, KeywordProbe};
 use crate::row::{Row, RowId};
 use crate::schema::{AttrId, Catalog, ForeignKey, TableId};
-use crate::stats::{attribute_stats, join_stats, AttributeStats, JoinStats};
+use crate::stats::{attribute_stats, join_stats, AttributeStats, JoinCountSet, JoinStats};
 use crate::table::TableData;
 use crate::value::Value;
 
@@ -19,46 +19,43 @@ use crate::value::Value;
 ///
 /// After `finalize`, the database is *live*: [`Database::insert`],
 /// [`Database::delete`] and [`Database::update`] maintain the inverted
-/// indexes incrementally and recompute statistics for the mutated table
-/// only, so mutations never force a full rebuild and the database stays
-/// finalized. The maintained state is bit-identical to what a fresh
-/// [`Database::finalize`] over the same rows would build (asserted by the
-/// relstore property suite). Batch writers wrap their loop in
-/// [`Database::with_stats_deferred`] to pay the per-table stats refresh
-/// once per batch instead of once per record.
+/// indexes incrementally, so mutations never force a full rebuild and the
+/// database stays finalized. Join statistics come from per-foreign-key
+/// counters ([`JoinCountSet`]), counted once by `finalize` (or by the first
+/// restrictive-delete check before it) and from then on updated by every
+/// mutation in O(1) per row; the same counters answer that check. Attribute statistics are computed from the
+/// rows when asked for. A mutation therefore costs O(row), never a rescan
+/// of the tables it touches, and the maintained state is bit-identical to
+/// what a fresh [`Database::finalize`] over the same rows would build
+/// (asserted by the relstore property suite).
 #[derive(Debug, Clone)]
 pub struct Database {
     catalog: Catalog,
     tables: Vec<TableData>,
     /// Full-text indexes, one per attribute with `full_text = true`.
     indexes: HashMap<AttrId, AttributeIndex>,
-    /// Per-attribute statistics (built in `finalize`).
-    attr_stats: HashMap<AttrId, AttributeStats>,
-    /// Per-foreign-key join statistics (built in `finalize`).
-    join_stats: HashMap<ForeignKey, JoinStats>,
+    /// Per-foreign-key join counters, current after every mutation once
+    /// counted. `None` during a bulk load or a snapshot import (from
+    /// [`Database::new`] or [`Database::restore_table`]) until the
+    /// [`Database::finalize`] that follows (or the first check that needs
+    /// them), so a load counts once rather than once per row or table.
+    join_counts: Option<JoinCountSet>,
     finalized: bool,
-    /// When `Some`, statistics refresh is deferred: mutated tables are
-    /// collected here and refreshed once when the batch scope closes (see
-    /// [`Database::with_stats_deferred`]). Index maintenance is never
-    /// deferred — it is cheap and per-row.
-    stats_dirty: Option<BTreeSet<TableId>>,
 }
 
 impl Database {
     /// Create an empty database over a validated catalog.
     pub fn new(catalog: Catalog) -> Result<Database, StoreError> {
         catalog.validate()?;
-        let tables = (0..catalog.table_count())
+        let tables: Vec<TableData> = (0..catalog.table_count())
             .map(|_| TableData::new())
             .collect();
         Ok(Database {
             catalog,
             tables,
             indexes: HashMap::new(),
-            attr_stats: HashMap::new(),
-            join_stats: HashMap::new(),
+            join_counts: None,
             finalized: false,
-            stats_dirty: None,
         })
     }
 
@@ -86,7 +83,7 @@ impl Database {
     ///
     /// FK targets must already exist, so load tables in dependency order.
     /// On a finalized database the new row is folded into the full-text
-    /// indexes and statistics incrementally.
+    /// indexes incrementally.
     pub fn insert(&mut self, table: &str, row: Row) -> Result<RowId, StoreError> {
         let tid = self.catalog.table_id(table)?;
         let schema = self.catalog.table(tid).clone();
@@ -95,7 +92,7 @@ impl Database {
         TableData::check_row(&self.catalog, &schema, &row)?;
         self.check_foreign_keys(tid, &row)?;
         let rid = self.tables[tid.0 as usize].insert_prevalidated(&self.catalog, &schema, row)?;
-        self.finish_mutation(tid, rid);
+        self.finish_mutation(tid, rid, None);
         Ok(rid)
     }
 
@@ -105,23 +102,34 @@ impl Database {
         let tid = self.catalog.table_id(table)?;
         let schema = self.catalog.table(tid).clone();
         let rid = self.tables[tid.0 as usize].insert(&self.catalog, &schema, row)?;
-        self.finish_mutation(tid, rid);
+        self.finish_mutation(tid, rid, None);
         Ok(rid)
     }
 
-    /// Post-insert maintenance shared by both insert paths.
-    fn finish_mutation(&mut self, tid: TableId, rid: RowId) {
+    /// Post-mutation maintenance of the row at `(tid, rid)`, whose previous
+    /// version was `old` (`None` for an insert): fold the change into the
+    /// join counters, once counted, and into the full-text indexes, once
+    /// finalized.
+    fn finish_mutation(&mut self, tid: TableId, rid: RowId, old: Option<&Row>) {
+        let new = self.tables[tid.0 as usize].get(rid);
+        if let Some(counts) = &mut self.join_counts {
+            let tables = &self.tables;
+            counts.apply_row_change(&self.catalog, tid, old, new, |t, v| {
+                tables[t.0 as usize]
+                    .lookup_pk(std::slice::from_ref(v))
+                    .is_some()
+            });
+        }
         if self.finalized {
-            self.reindex_row(tid, rid, None, true);
-            self.refresh_stats_for(tid);
+            self.reindex_row(tid, rid, old, new.is_some());
         }
     }
 
     /// Delete the row whose primary-key tuple is `key`, returning its old
     /// [`RowId`]. Referential integrity is *restrictive*: the delete fails
     /// while any other live row still references the victim's primary key.
-    /// On a finalized database indexes and statistics are maintained
-    /// incrementally; the slot is tombstoned so other row ids stay stable.
+    /// On a finalized database indexes are maintained incrementally; the
+    /// slot is tombstoned so other row ids stay stable.
     pub fn delete(&mut self, table: &str, key: &[Value]) -> Result<RowId, StoreError> {
         let tid = self.catalog.table_id(table)?;
         let schema = self.catalog.table(tid).clone();
@@ -130,10 +138,7 @@ impl Database {
             .ok_or_else(|| StoreError::RowNotFound(format!("{}{}", schema.name, fmt_key(key))))?;
         self.check_pk_unreferenced(tid, rid, None)?;
         let old = self.tables[tid.0 as usize].delete(&self.catalog, &schema, rid)?;
-        if self.finalized {
-            self.reindex_row(tid, rid, Some(&old), false);
-            self.refresh_stats_for(tid);
-        }
+        self.finish_mutation(tid, rid, Some(&old));
         Ok(rid)
     }
 
@@ -141,8 +146,7 @@ impl Database {
     /// (the [`RowId`] is preserved). Checks types, NOT NULL, FK targets of
     /// the new row, and — when the primary key changes — PK uniqueness plus
     /// the restrictive rule that no row may still reference the old key
-    /// afterwards. On a finalized database, indexes and statistics follow
-    /// incrementally.
+    /// afterwards. On a finalized database, indexes follow incrementally.
     pub fn update(&mut self, table: &str, key: &[Value], row: Row) -> Result<RowId, StoreError> {
         let tid = self.catalog.table_id(table)?;
         let schema = self.catalog.table(tid).clone();
@@ -159,10 +163,7 @@ impl Database {
         }
         let old =
             self.tables[tid.0 as usize].update_prevalidated(&self.catalog, &schema, rid, row)?;
-        if self.finalized {
-            self.reindex_row(tid, rid, Some(&old), true);
-            self.refresh_stats_for(tid);
-        }
+        self.finish_mutation(tid, rid, Some(&old));
         Ok(rid)
     }
 
@@ -198,45 +199,20 @@ impl Database {
     /// with it) and judged by `replacement` on update (its references
     /// survive with the new values).
     ///
-    /// Cost: a linear scan of each referencing table — O(total referencing
-    /// rows) per delete. Fine at this engine's scale and for insert-heavy
-    /// live workloads; a delete-heavy workload at millions of rows would
-    /// want a per-FK reverse count index maintained alongside the inverted
-    /// indexes.
+    /// Cost: one reference-count lookup per foreign key into the victim's
+    /// table ([`JoinCountSet::check_unreferenced`]), independent of table
+    /// sizes.
     fn check_pk_unreferenced(
-        &self,
+        &mut self,
         tid: TableId,
         rid: RowId,
         replacement: Option<&Row>,
     ) -> Result<(), StoreError> {
+        let counts = self
+            .join_counts
+            .get_or_insert_with(|| count_joins(&self.catalog, &self.tables));
         let victim = self.tables[tid.0 as usize].row(rid);
-        for fk in self.catalog.foreign_keys() {
-            let to = self.catalog.attribute(fk.to);
-            if to.table != tid {
-                continue;
-            }
-            let pk_val = victim.get(to.position);
-            let from = self.catalog.attribute(fk.from);
-            for (r_rid, r_row) in self.tables[from.table.0 as usize].iter() {
-                let row = if from.table == tid && r_rid == rid {
-                    match replacement {
-                        Some(new_row) => new_row,
-                        None => continue, // delete: self-reference dies too
-                    }
-                } else {
-                    r_row
-                };
-                let v = row.get(from.position);
-                if !v.is_null() && v == pk_val {
-                    return Err(StoreError::ForeignKeyViolation(format!(
-                        "{} = {v} still references {}",
-                        self.catalog.qualified_name(fk.from),
-                        self.catalog.qualified_name(fk.to)
-                    )));
-                }
-            }
-        }
-        Ok(())
+        counts.check_unreferenced(&self.catalog, tid, victim, replacement)
     }
 
     /// Scan every FK column and verify all non-null values have targets.
@@ -301,7 +277,8 @@ impl Database {
 
     /// Replace one table's storage with an explicit slot layout, tombstones
     /// included (snapshot import). Leaves the database unfinalized; call
-    /// [`Database::finalize`] after all tables are restored.
+    /// [`Database::finalize`] after all tables are restored — it recounts
+    /// the join counters once for the whole import.
     pub fn restore_table(
         &mut self,
         table: TableId,
@@ -309,42 +286,33 @@ impl Database {
     ) -> Result<(), StoreError> {
         let schema = self.catalog.table(table).clone();
         self.tables[table.0 as usize] = TableData::restore(&self.catalog, &schema, slots)?;
+        self.join_counts = None;
         self.finalized = false;
         Ok(())
     }
 
     /// The setup phase: build full-text indexes over all `full_text`
-    /// attributes and compute attribute and join statistics.
+    /// attributes and rebuild the join counters from scratch.
     pub fn finalize(&mut self) {
         self.indexes.clear();
-        self.attr_stats.clear();
-        self.join_stats.clear();
         for attr in self.catalog.attributes() {
-            let data = &self.tables[attr.table.0 as usize];
-            if attr.full_text {
-                // Bulk-build path: append postings, sort each list once at
-                // the end — bit-identical to per-row sorted inserts (pinned
-                // by the relstore property suite) without the mid-list
-                // shifting.
-                let mut ix = AttributeIndex::new();
-                for (rid, row) in data.iter() {
-                    let v = row.get(attr.position);
-                    if !v.is_null() {
-                        ix.add_bulk(rid, &v.render());
-                    }
-                }
-                ix.finish_build();
-                self.indexes.insert(attr.id, ix);
+            if !attr.full_text {
+                continue;
             }
-            self.attr_stats
-                .insert(attr.id, attribute_stats(&self.catalog, data, attr.id));
+            // Bulk-build path: append postings, sort each list once at the
+            // end — bit-identical to per-row sorted inserts (pinned by the
+            // relstore property suite) without the mid-list shifting.
+            let mut ix = AttributeIndex::new();
+            for (rid, row) in self.tables[attr.table.0 as usize].iter() {
+                let v = row.get(attr.position);
+                if !v.is_null() {
+                    ix.add_bulk(rid, &v.render());
+                }
+            }
+            ix.finish_build();
+            self.indexes.insert(attr.id, ix);
         }
-        for fk in self.catalog.foreign_keys() {
-            let referencing = &self.tables[self.catalog.attribute(fk.from).table.0 as usize];
-            let referenced = &self.tables[self.catalog.attribute(fk.to).table.0 as usize];
-            self.join_stats
-                .insert(*fk, join_stats(&self.catalog, *fk, referencing, referenced));
-        }
+        self.join_counts = Some(count_joins(&self.catalog, &self.tables));
         self.finalized = true;
     }
 
@@ -381,101 +349,19 @@ impl Database {
         }
     }
 
-    /// Recompute the statistics a mutation of `tid` can change: the table's
-    /// attribute stats and the join stats of every FK touching it. Uses the
-    /// same pure functions as [`Database::finalize`], so maintained stats
-    /// are bit-identical to a full rebuild.
-    fn refresh_stats_for(&mut self, tid: TableId) {
-        if let Some(dirty) = &mut self.stats_dirty {
-            dirty.insert(tid);
-            return;
-        }
-        for attr in self.catalog.table(tid).attributes.clone() {
-            let stats = attribute_stats(&self.catalog, &self.tables[tid.0 as usize], attr);
-            self.attr_stats.insert(attr, stats);
-        }
-        for fk in self.catalog.fks_of_table(tid) {
-            let stats = join_stats(
-                &self.catalog,
-                fk,
-                &self.tables[self.catalog.attribute(fk.from).table.0 as usize],
-                &self.tables[self.catalog.attribute(fk.to).table.0 as usize],
-            );
-            self.join_stats.insert(fk, stats);
-        }
-    }
-
-    /// Run a batch of mutations with statistics refresh deferred to the
-    /// end of the batch.
+    /// Run a batch of mutations `f` over this database and return its
+    /// result.
     ///
-    /// Per-mutation stats refresh rescans the mutated table (and both
-    /// sides of its FK joins), so a k-record batch would pay k rescans for
-    /// a result only the final state needs. Inside `f`, mutations maintain
-    /// the inverted indexes as usual but only *mark* their tables dirty;
-    /// when `f` returns, each dirty table is refreshed exactly once. The
-    /// final state is bit-identical to per-mutation refresh — only reads
-    /// of `attr_stats`/`fk_stats` *inside* `f` may observe pre-batch
-    /// values. Nested calls coalesce into the outermost batch.
+    /// There is nothing to defer: every mutation updates the join counters
+    /// in O(1) and attribute statistics are computed on demand, so this is
+    /// a plain call and reads inside `f` see current statistics. It stays
+    /// as a scope marker for batch writers that use it.
     pub fn with_stats_deferred<R>(&mut self, f: impl FnOnce(&mut Database) -> R) -> R {
-        /// Drains the dirty set on scope exit — *including* an unwind out
-        /// of `f` — so a panicking closure cannot leave the database with
-        /// statistics refresh permanently disabled.
-        struct Scope<'a> {
-            db: &'a mut Database,
-            outermost: bool,
-        }
-        impl Drop for Scope<'_> {
-            fn drop(&mut self) {
-                if self.outermost {
-                    if let Some(dirty) = self.db.stats_dirty.take() {
-                        for tid in dirty {
-                            self.db.refresh_stats_for(tid);
-                        }
-                    }
-                }
-            }
-        }
-        let outermost = self.begin_stats_deferred();
-        let scope = Scope {
-            db: self,
-            outermost,
-        };
-        f(&mut *scope.db)
-    }
-
-    /// Open a statistics-deferral scope without a closure. Returns `true`
-    /// when this call opened the outermost scope; that flag must be handed
-    /// back to [`Database::end_stats_deferred`]. Prefer
-    /// [`Database::with_stats_deferred`] — this explicit pair exists for
-    /// coordinators that batch mutations across *several* databases at once
-    /// (e.g. a sharded store deferring every shard's refresh until the end
-    /// of a batch), where a single closure cannot scope all of them.
-    pub fn begin_stats_deferred(&mut self) -> bool {
-        if self.stats_dirty.is_none() {
-            self.stats_dirty = Some(BTreeSet::new());
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Close a scope opened by [`Database::begin_stats_deferred`], passing
-    /// the flag it returned. When `outermost` the dirty set is drained and
-    /// each dirty table's statistics are refreshed exactly once; otherwise
-    /// this is a no-op (the enclosing scope will refresh).
-    pub fn end_stats_deferred(&mut self, outermost: bool) {
-        if !outermost {
-            return;
-        }
-        if let Some(dirty) = self.stats_dirty.take() {
-            for tid in dirty {
-                self.refresh_stats_for(tid);
-            }
-        }
+        f(self)
     }
 
     /// Whether `finalize` has been run (mutations on a finalized database
-    /// keep it finalized by maintaining indexes and stats incrementally).
+    /// keep it finalized by maintaining indexes incrementally).
     pub fn is_finalized(&self) -> bool {
         self.finalized
     }
@@ -543,14 +429,33 @@ impl Database {
         }
     }
 
-    /// Statistics of one attribute (requires `finalize`).
-    pub fn attr_stats(&self, attr: AttrId) -> Option<&AttributeStats> {
-        self.attr_stats.get(&attr)
+    /// Statistics of one attribute, computed from its table's rows on each
+    /// call (`None` for an id outside the catalog). O(table rows).
+    pub fn attr_stats(&self, attr: AttrId) -> Option<AttributeStats> {
+        ((attr.0 as usize) < self.catalog.attribute_count()).then(|| {
+            let table = self.catalog.attribute(attr).table;
+            attribute_stats(&self.catalog, &self.tables[table.0 as usize], attr)
+        })
     }
 
-    /// Join statistics of one foreign key (requires `finalize`).
-    pub fn fk_stats(&self, fk: ForeignKey) -> Option<&JoinStats> {
-        self.join_stats.get(&fk)
+    /// Join statistics of one foreign key (`None` for a key outside the
+    /// catalog), read from the maintained counters: O(referenced keys)
+    /// float work for the NMI, no table scan. Before the counters are
+    /// counted (a bulk load or snapshot import not yet finalized) they are
+    /// computed from the rows instead.
+    pub fn fk_stats(&self, fk: ForeignKey) -> Option<JoinStats> {
+        if !self.catalog.foreign_keys().contains(&fk) {
+            return None;
+        }
+        let table = |attr: AttrId| &self.tables[self.catalog.attribute(attr).table.0 as usize];
+        let (referencing, referenced) = (table(fk.from), table(fk.to));
+        Some(match &self.join_counts {
+            Some(counts) => counts
+                .get(fk)
+                .expect("one counter per catalog foreign key")
+                .stats(referencing.len() as u64, referenced.len() as u64),
+            None => join_stats(&self.catalog, fk, referencing, referenced),
+        })
     }
 
     /// Look up a row's value by attribute id.
@@ -558,6 +463,19 @@ impl Database {
         let pos = self.catalog.attribute(attr).position;
         self.tables[table.0 as usize].row(row).get(pos)
     }
+}
+
+/// Count every foreign key's join counters from the rows.
+fn count_joins(catalog: &Catalog, tables: &[TableData]) -> JoinCountSet {
+    JoinCountSet::build(
+        catalog,
+        |t| tables[t.0 as usize].iter().map(|(_, row)| row),
+        |t, v| {
+            tables[t.0 as usize]
+                .lookup_pk(std::slice::from_ref(v))
+                .is_some()
+        },
+    )
 }
 
 /// Render a PK tuple for error messages.
@@ -623,7 +541,16 @@ mod tests {
             assert_eq!(db.attr_stats(attr.id), rebuilt.attr_stats(attr.id));
         }
         for fk in db.catalog().foreign_keys() {
-            assert_eq!(db.fk_stats(*fk), rebuilt.fk_stats(*fk));
+            let maintained = db.fk_stats(*fk).unwrap();
+            assert_eq!(Some(&maintained), rebuilt.fk_stats(*fk).as_ref());
+            let scratch = crate::stats::join_stats(
+                db.catalog(),
+                *fk,
+                db.table_data(db.catalog().attribute(fk.from).table),
+                db.table_data(db.catalog().attribute(fk.to).table),
+            );
+            assert_eq!(maintained.nmi.to_bits(), scratch.nmi.to_bits());
+            assert_eq!(maintained, scratch);
         }
     }
 
@@ -813,11 +740,11 @@ mod tests {
                 Row::new(vec![12.into(), "The Wizard of Oz".into(), 3.into()]),
             )
             .unwrap();
-            // Indexes are exact mid-batch; stats are stale until the scope
-            // closes.
+            // Indexes and statistics are both exact mid-batch.
             assert!(db.search_score(title, "wizard") > 0.0);
-            assert_eq!(db.attr_stats(title).unwrap().rows, rows_before);
-            // Nested scopes coalesce into the outermost batch.
+            assert_eq!(db.attr_stats(title).unwrap().rows, rows_before + 1);
+            assert_matches_rebuild(db);
+            // Nested scopes are plain calls too.
             db.with_stats_deferred(|db| {
                 db.insert(
                     "movie",
@@ -825,9 +752,33 @@ mod tests {
                 )
                 .unwrap();
             });
-            assert_eq!(db.attr_stats(title).unwrap().rows, rows_before);
+            assert_eq!(db.attr_stats(title).unwrap().rows, rows_before + 2);
         });
         assert_eq!(db.attr_stats(title).unwrap().rows, rows_before + 2);
+        assert_matches_rebuild(&db);
+        assert!(db.validate().is_ok());
+    }
+
+    #[test]
+    fn restored_tables_recount_join_counters_once_needed() {
+        let src = movie_db();
+        let mut db = Database::new(src.catalog().clone()).unwrap();
+        for schema in src.catalog().tables() {
+            let slots = src
+                .table_data(schema.id)
+                .slots()
+                .map(|s| s.cloned())
+                .collect();
+            db.restore_table(schema.id, slots).unwrap();
+        }
+        // Mid-import: statistics come from the rows, the RI check recounts.
+        let fk = db.catalog().foreign_keys()[0];
+        assert_eq!(db.fk_stats(fk), src.fk_stats(fk));
+        let err = db.delete("person", &[Value::Int(1)]).unwrap_err();
+        assert!(matches!(err, StoreError::ForeignKeyViolation(_)));
+        db.delete("movie", &[Value::Int(10)]).unwrap();
+        db.delete("person", &[Value::Int(1)]).unwrap();
+        db.finalize();
         assert_matches_rebuild(&db);
         assert!(db.validate().is_ok());
     }

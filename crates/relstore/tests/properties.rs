@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use relstore::index::{normalize_keyword, tokenize};
 use relstore::sql::{execute, JoinCondition, Predicate, Projection, SelectStatement};
-use relstore::{Catalog, DataType, Database, Row, Value};
+use relstore::{Catalog, DataType, Database, ForeignKey, Row, RowId, StoreError, TableId, Value};
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -415,18 +415,18 @@ fn apply_mutation(db: &mut Database, op: &(u8, i64, usize, i64)) {
     } else {
         Value::Int(ref_id)
     };
-    let _ = match kind % 6 {
-        0 => db.insert("author", Row::new(vec![id.into(), text])),
-        1 => db.insert("book", Row::new(vec![id.into(), text, author_ref])),
-        2 => db.delete("author", &[Value::Int(id)]),
-        3 => db.delete("book", &[Value::Int(id)]),
-        4 => db.update("author", &[Value::Int(id)], Row::new(vec![id.into(), text])),
-        _ => db.update(
-            "book",
-            &[Value::Int(id)],
-            Row::new(vec![id.into(), text, author_ref]),
-        ),
-    };
+    match kind % 6 {
+        0 => {
+            let _ = db.insert("author", Row::new(vec![id.into(), text]));
+        }
+        1 => {
+            let _ = db.insert("book", Row::new(vec![id.into(), text, author_ref]));
+        }
+        2 => checked_delete(db, "author", id),
+        3 => checked_delete(db, "book", id),
+        4 => checked_update(db, "author", id, Row::new(vec![id.into(), text])),
+        _ => checked_update(db, "book", id, Row::new(vec![id.into(), text, author_ref])),
+    }
 }
 
 proptest! {
@@ -457,8 +457,15 @@ proptest! {
             prop_assert_eq!(db.attr_stats(attr.id), rebuilt.attr_stats(attr.id));
         }
         for fk in db.catalog().foreign_keys() {
-            prop_assert_eq!(db.fk_stats(*fk), rebuilt.fk_stats(*fk));
+            let maintained = db.fk_stats(*fk).expect("catalog FK");
+            let fresh = rebuilt.fk_stats(*fk).expect("catalog FK");
+            prop_assert_eq!(maintained.nmi.to_bits(), fresh.nmi.to_bits());
+            prop_assert_eq!(maintained.pairs, fresh.pairs);
+            prop_assert_eq!(maintained.referenced_distinct, fresh.referenced_distinct);
+            prop_assert_eq!(maintained.referencing_rows, fresh.referencing_rows);
+            prop_assert_eq!(maintained.referenced_rows, fresh.referenced_rows);
         }
+        assert_stats_match_scratch(&db);
     }
 
     #[test]
@@ -471,6 +478,233 @@ proptest! {
             // The checked API must never let the instance go inconsistent,
             // not even transiently between operations.
             db.validate().expect("instance stays consistent after every op");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Maintained join counters and the count-based restrictive-delete check,
+// against from-scratch statistics and the linear-scan RI check they replace.
+
+/// After any mutation: every FK's maintained statistics equal a
+/// from-scratch `join_stats` bit for bit, and every attribute's on-demand
+/// statistics equal `attribute_stats`.
+fn assert_stats_match_scratch(db: &Database) {
+    let c = db.catalog();
+    for fk in c.foreign_keys() {
+        let maintained = db.fk_stats(*fk).expect("catalog FK");
+        let scratch = relstore::stats::join_stats(
+            c,
+            *fk,
+            db.table_data(c.attribute(fk.from).table),
+            db.table_data(c.attribute(fk.to).table),
+        );
+        assert_eq!(
+            maintained.nmi.to_bits(),
+            scratch.nmi.to_bits(),
+            "NMI bits of {} diverged",
+            c.qualified_name(fk.from)
+        );
+        assert_eq!(maintained, scratch);
+    }
+    for attr in c.attributes() {
+        let scratch = relstore::stats::attribute_stats(c, db.table_data(attr.table), attr.id);
+        assert_eq!(db.attr_stats(attr.id), Some(scratch));
+    }
+}
+
+/// Reference twin of the restrictive RI check: scan every referencing row
+/// of every FK into `table` (catalog order), skipping the victim on delete
+/// and judging it by `replacement` on update.
+fn reference_check_unreferenced(
+    db: &Database,
+    table: TableId,
+    rid: RowId,
+    replacement: Option<&Row>,
+) -> Result<(), StoreError> {
+    let c = db.catalog();
+    let victim = db.table_data(table).row(rid);
+    for fk in c.foreign_keys() {
+        let to = c.attribute(fk.to);
+        if to.table != table {
+            continue;
+        }
+        let pk_val = victim.get(to.position);
+        let from = c.attribute(fk.from);
+        for (r_rid, r_row) in db.table_data(from.table).iter() {
+            let row = if from.table == table && r_rid == rid {
+                match replacement {
+                    Some(new_row) => new_row,
+                    None => continue,
+                }
+            } else {
+                r_row
+            };
+            let v = row.get(from.position);
+            if !v.is_null() && v == pk_val {
+                return Err(StoreError::ForeignKeyViolation(format!(
+                    "{} = {v} still references {}",
+                    c.qualified_name(fk.from),
+                    c.qualified_name(fk.to)
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Whether every non-null FK value of a candidate `row` of `table` has a
+/// target — the check `update` runs before the RI check.
+fn fk_targets_exist(db: &Database, table: TableId, row: &Row) -> bool {
+    let c = db.catalog();
+    c.foreign_keys().iter().all(|fk: &ForeignKey| {
+        let from = c.attribute(fk.from);
+        if from.table != table {
+            return true;
+        }
+        let v = row.get(from.position);
+        v.is_null()
+            || db
+                .table_data(c.attribute(fk.to).table)
+                .lookup_pk(std::slice::from_ref(v))
+                .is_some()
+    })
+}
+
+/// `delete`, with its accept/reject decision and error string checked
+/// against the linear-scan twin.
+fn checked_delete(db: &mut Database, table: &str, key: i64) {
+    let tid = db.catalog().table_id(table).unwrap();
+    let rid = db.table_data(tid).lookup_pk(&[Value::Int(key)]);
+    let expected = rid.map(|rid| reference_check_unreferenced(db, tid, rid, None));
+    let got = db.delete(table, &[Value::Int(key)]);
+    match expected {
+        None => assert!(matches!(got, Err(StoreError::RowNotFound(_)))),
+        Some(Ok(())) => assert!(got.is_ok(), "twin accepted, store said {got:?}"),
+        Some(Err(e)) => assert_eq!(got.unwrap_err(), e),
+    }
+}
+
+/// `update`, with its RI decision checked against the twin whenever the
+/// RI check runs (live row, FK targets present, primary key changed).
+fn checked_update(db: &mut Database, table: &str, key: i64, row: Row) {
+    let tid = db.catalog().table_id(table).unwrap();
+    let rid = db.table_data(tid).lookup_pk(&[Value::Int(key)]);
+    let reaches_ri =
+        rid.is_some() && fk_targets_exist(db, tid, &row) && row.get(0) != &Value::Int(key);
+    let expected = rid
+        .filter(|_| reaches_ri)
+        .map(|rid| reference_check_unreferenced(db, tid, rid, Some(&row)));
+    let got = db.update(table, &[Value::Int(key)], row);
+    match expected {
+        None => {}
+        Some(Ok(())) => assert!(
+            got.is_ok() || matches!(got, Err(StoreError::DuplicateKey(_))),
+            "twin accepted, store said {got:?}"
+        ),
+        Some(Err(e)) => assert_eq!(got.unwrap_err(), e),
+    }
+}
+
+/// author(id PK, name, mentor_id → author) — a self-referencing FK — and
+/// book(id PK, title, author_id → author).
+fn self_ref_db() -> Database {
+    let mut c = Catalog::new();
+    c.define_table("author")
+        .expect("t")
+        .pk("id", DataType::Int)
+        .expect("pk")
+        .col("name", DataType::Text)
+        .expect("col")
+        .col_opts("mentor_id", DataType::Int, true, false)
+        .expect("col")
+        .finish();
+    c.define_table("book")
+        .expect("t")
+        .pk("id", DataType::Int)
+        .expect("pk")
+        .col("title", DataType::Text)
+        .expect("col")
+        .col_opts("author_id", DataType::Int, true, false)
+        .expect("col")
+        .finish();
+    c.add_foreign_key("author", "mentor_id", "author")
+        .expect("fk");
+    c.add_foreign_key("book", "author_id", "author")
+        .expect("fk");
+    let mut db = Database::new(c).expect("db");
+    db.finalize();
+    db
+}
+
+/// One scripted operation `(kind, id, new_id, word, ref_id)` against the
+/// self-referencing schema. `ref_id` 0 means NULL.
+fn apply_ri_op(db: &mut Database, op: &(u8, i64, i64, usize, i64)) {
+    let (kind, id, new_id, word, ref_id) = *op;
+    let text = Value::text(WORDS[word % WORDS.len()]);
+    let r = if ref_id == 0 {
+        Value::Null
+    } else {
+        Value::Int(ref_id)
+    };
+    match kind % 9 {
+        0 => {
+            let _ = db.insert("author", Row::new(vec![id.into(), text, r]));
+        }
+        1 => {
+            let _ = db.insert("book", Row::new(vec![id.into(), text, r]));
+        }
+        2 => checked_delete(db, "author", id),
+        3 => checked_delete(db, "book", id),
+        // PK-changing (when new_id != id) updates, references rewritten too.
+        4 => checked_update(db, "author", id, Row::new(vec![new_id.into(), text, r])),
+        5 => checked_update(db, "book", id, Row::new(vec![new_id.into(), text, r])),
+        // A dangling reference, then its target appears and is (attempted
+        // to be) deleted.
+        6 => {
+            let target = Value::Int(ref_id.max(1));
+            let _ = db.insert_unchecked(
+                "book",
+                Row::new(vec![id.into(), text.clone(), target.clone()]),
+            );
+            assert_stats_match_scratch(db);
+            let _ = db.insert("author", Row::new(vec![target, text, Value::Null]));
+            assert_stats_match_scratch(db);
+            checked_delete(db, "author", ref_id.max(1));
+        }
+        // A dangling self-reference (possibly to the row itself).
+        7 => {
+            let _ = db.insert_unchecked("author", Row::new(vec![id.into(), text, r]));
+        }
+        // A row that references itself.
+        _ => {
+            let _ = db.insert("author", Row::new(vec![id.into(), text, Value::Null]));
+            checked_update(
+                db,
+                "author",
+                id,
+                Row::new(vec![id.into(), Value::text("self"), Value::Int(id)]),
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn join_counters_and_ri_match_scratch_after_every_op(
+        ops in proptest::collection::vec((0u8..9, 1i64..7, 1i64..7, 0usize..8, 0i64..7), 0..60)
+    ) {
+        let mut db = self_ref_db();
+        for op in &ops {
+            apply_ri_op(&mut db, op);
+            assert_stats_match_scratch(&db);
+        }
+        let mut rebuilt = db.clone();
+        rebuilt.finalize();
+        for fk in db.catalog().foreign_keys() {
+            prop_assert_eq!(db.fk_stats(*fk), rebuilt.fk_stats(*fk));
         }
     }
 }
