@@ -1,9 +1,12 @@
 //! Criterion bench — serving throughput: the serial engine vs the
 //! `quest-serve` pool at growing worker counts, on the IMDB workload stream
-//! (cache warm, the steady state of a long-running service).
+//! (cache warm, the steady state of a long-running service), and the cost
+//! of the service hand-off itself: one client submitting and waiting per
+//! warm query against the same queries searched directly.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use quest_bench::{engine_for, shuffled_stream, Dataset};
+use quest_core::SearchScratch;
 use quest_serve::{CachedEngine, QueryService};
 
 fn bench_serial_vs_workers(c: &mut Criterion) {
@@ -44,5 +47,37 @@ fn bench_serial_vs_workers(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_serial_vs_workers);
+fn bench_hand_off(c: &mut Criterion) {
+    let mut g = c.benchmark_group("serve_hand_off_imdb");
+    g.sample_size(10);
+    let queries = shuffled_stream(&Dataset::Imdb.workload(), 8, 42);
+    let service = QueryService::new(CachedEngine::new(engine_for(Dataset::Imdb)), 2);
+    for t in service.submit_batch(&queries) {
+        let _ = t.wait();
+    }
+
+    // The same warm engine and caches, searched on the calling thread.
+    let mut scratch = SearchScratch::new();
+    g.bench_function("warm_direct", |b| {
+        b.iter(|| {
+            for q in &queries {
+                let _ = service
+                    .engine()
+                    .search_with(std::hint::black_box(q), &mut scratch);
+            }
+        })
+    });
+    // One client, one query in flight: submit, then wait, per query.
+    g.bench_function("warm_submit_wait", |b| {
+        b.iter(|| {
+            for q in &queries {
+                let _ = service.submit(std::hint::black_box(q)).wait();
+            }
+        })
+    });
+    service.shutdown();
+    g.finish();
+}
+
+criterion_group!(benches, bench_serial_vs_workers, bench_hand_off);
 criterion_main!(benches);

@@ -287,8 +287,9 @@ impl<W: SourceWrapper> CachedEngine<W> {
     }
 
     /// [`CachedEngine::search`] with a caller-owned [`SearchScratch`] —
-    /// what the [`crate::QueryService`] workers use (one scratch per worker
-    /// thread, reused across every query the worker serves).
+    /// what [`crate::QueryService`] runs each query through, on a worker
+    /// or on the waiting caller (one scratch per thread, reused across
+    /// every query that thread runs).
     pub fn search_with(
         &self,
         raw_query: &str,

@@ -19,7 +19,7 @@ pub enum ServeError {
     /// instead of failing; this variant (and the `From<StoreError>` impl)
     /// is for callers that treat any rejection as fatal.
     Mutation(StoreError),
-    /// The service shut down (or a worker died) before answering.
+    /// The search panicked on a worker thread, so it has no outcome.
     Disconnected,
 }
 

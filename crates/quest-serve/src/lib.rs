@@ -15,12 +15,14 @@
 //!   [`CachedEngine::apply`] (a slice of
 //!   [`quest_wal::ChangeRecord`]s); entries keyed by dead epochs are purged
 //!   on the next search.
-//! * [`QueryService`] — a thread pool (std threads + channels, no external
-//!   dependencies) draining submitted queries through one shared
-//!   `CachedEngine`, so every worker benefits from every other worker's
-//!   cache fills. `submit`/[`submit_batch`](QueryService::submit_batch)
-//!   return [`Ticket`]s; [`shutdown`](QueryService::shutdown) drains and
-//!   joins.
+//! * [`QueryService`] — a thread pool (std threads, one mutex-and-condvar
+//!   job queue, no external dependencies) draining submitted queries
+//!   through one shared `CachedEngine`, so every thread benefits from
+//!   every other thread's cache fills. `submit`/
+//!   [`submit_batch`](QueryService::submit_batch) return [`Ticket`]s;
+//!   [`Ticket::wait`] runs its own query on the calling thread when no
+//!   worker has claimed it yet. [`shutdown`](QueryService::shutdown)
+//!   drains and joins.
 //! * [`ServeStats`] — a point-in-time snapshot of cache and latency
 //!   counters.
 //!

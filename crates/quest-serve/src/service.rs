@@ -1,16 +1,21 @@
 //! [`QueryService`]: a thread pool draining keyword queries through a shared
 //! [`CachedEngine`].
 //!
-//! Built on `std` threads and channels only. Workers pull jobs from one
-//! shared queue (an `mpsc::Receiver` behind a mutex), so a slow query never
-//! blocks the others; every submission returns a [`Ticket`] the caller can
-//! block on. Because all workers share one engine and one pair of caches,
-//! repeated keywords and shared join paths turn into lookups no matter which
-//! worker serves them.
+//! Built on `std` threads only. Jobs wait in one shared queue (a
+//! `Mutex<VecDeque>` plus a `Condvar`) and an atomic flag lets exactly one
+//! thread claim each: the worker that pops it, or the caller of
+//! [`Ticket::wait`] if no worker has yet, which then runs its own query and
+//! skips the cross-thread hand-off. Every thread shares one engine and one
+//! pair of caches, so repeated keywords and shared join paths turn into
+//! lookups no matter which thread serves them.
 
-use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::cell::Cell;
+use std::collections::VecDeque;
+use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::{self, JoinHandle};
 
 use quest_core::{QuestError, SearchOutcome, SearchScratch, SourceWrapper};
 use quest_obs::WindowedGauge;
@@ -19,33 +24,118 @@ use crate::engine::CachedEngine;
 use crate::error::ServeError;
 use crate::stats::{names, ServeStats};
 
-/// One unit of work: a raw query and where to send its outcome.
+type Search = dyn Fn(&str, &mut SearchScratch) -> Result<SearchOutcome, QuestError> + Send + Sync;
+
+thread_local! {
+    /// One scratch per thread, worker or waiter, reused across its queries.
+    static SCRATCH: Cell<SearchScratch> = Cell::default();
+}
+
+/// Every critical section here is one push, pop or store, so a lock that
+/// a panicking thread poisoned still guards valid data.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One submitted query.
+#[derive(Debug, Default)]
 struct Job {
     raw: String,
-    reply: Sender<Result<SearchOutcome, QuestError>>,
+    claimed: AtomicBool,
+    /// Published by the worker that claimed the job, for its waiter.
+    result: Mutex<Option<Result<SearchOutcome, ServeError>>>,
+    done: Condvar,
+    #[cfg(test)]
+    hook: tests::Hook,
+}
+
+/// What the service, its workers and its tickets share. The engine is
+/// type-erased so [`Ticket`] stays non-generic.
+struct Queue {
+    search: Box<Search>,
+    /// Jobs no worker has popped yet, and whether the service is closing.
+    pending: Mutex<(VecDeque<Arc<Job>>, bool)>,
+    ready: Condvar,
+    /// Jobs that neither a worker nor their waiter has claimed yet,
+    /// mirrored into the engine registry's `quest_serve_queue_depth` gauge
+    /// — windowed, so a scrape also sees the `_min`/`_max` the depth
+    /// reached between scrapes.
+    depth: WindowedGauge,
+}
+
+impl fmt::Debug for Queue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Queue").finish_non_exhaustive()
+    }
+}
+
+impl Queue {
+    /// True for exactly one caller per job.
+    fn claim(&self, job: &Job) -> bool {
+        let won = !job.claimed.swap(true, Ordering::SeqCst);
+        if won {
+            self.depth.add(-1);
+        }
+        won
+    }
+
+    fn run(&self, job: &Job) -> Result<SearchOutcome, QuestError> {
+        #[cfg(test)]
+        job.hook.run();
+        // Taken out for the search, so one that panics leaves a fresh
+        // scratch behind rather than half-written buffers.
+        let mut scratch = SCRATCH.take();
+        let result = (self.search)(&job.raw, &mut scratch);
+        SCRATCH.set(scratch);
+        result
+    }
+
+    /// The next job, or `None` once the queue is closed and drained.
+    fn pop(&self) -> Option<Arc<Job>> {
+        let idle = |p: &mut (VecDeque<_>, bool)| p.0.is_empty() && !p.1;
+        let pending = self.ready.wait_while(lock(&self.pending), idle);
+        pending
+            .unwrap_or_else(PoisonError::into_inner)
+            .0
+            .pop_front()
+    }
+
+    /// A worker's loop. A search that panics resolves its ticket to
+    /// [`ServeError::Disconnected`], and the worker carries on.
+    fn work(&self) {
+        while let Some(job) = self.pop() {
+            // A job whose waiter claimed it first is that waiter's to run.
+            if self.claim(&job) {
+                let caught = panic::catch_unwind(AssertUnwindSafe(|| self.run(&job)));
+                let outcome = caught.map_or(Err(ServeError::Disconnected), |r| {
+                    r.map_err(ServeError::Engine)
+                });
+                *lock(&job.result) = Some(outcome);
+                job.done.notify_one();
+            }
+        }
+    }
 }
 
 /// A claim on one submitted query's result.
 #[derive(Debug)]
 pub struct Ticket {
-    rx: Receiver<Result<SearchOutcome, QuestError>>,
+    job: Arc<Job>,
+    queue: Arc<Queue>,
 }
 
 impl Ticket {
-    /// Block until the query's outcome arrives.
+    /// Block until the query's outcome arrives. If no worker has claimed
+    /// the query yet, run it on this thread instead; a panic in that
+    /// search then reaches this caller, as it would from a direct search.
     pub fn wait(self) -> Result<SearchOutcome, ServeError> {
-        match self.rx.recv() {
-            Ok(Ok(outcome)) => Ok(outcome),
-            Ok(Err(e)) => Err(ServeError::Engine(e)),
-            Err(_) => Err(ServeError::Disconnected),
+        let job = &self.job;
+        if self.queue.claim(job) {
+            return self.queue.run(job).map_err(ServeError::Engine);
         }
-    }
-
-    /// A ticket that reports [`ServeError::Disconnected`] immediately (used
-    /// for submissions after shutdown).
-    fn dead() -> Ticket {
-        let (_, rx) = mpsc::channel();
-        Ticket { rx }
+        let slot = job.done.wait_while(lock(&job.result), |r| r.is_none());
+        let outcome = slot.unwrap_or_else(PoisonError::into_inner).take();
+        outcome.expect("the claiming worker published a result")
     }
 }
 
@@ -56,12 +146,8 @@ impl Ticket {
 #[derive(Debug)]
 pub struct QueryService<W: SourceWrapper + Send + Sync + 'static> {
     shared: Arc<CachedEngine<W>>,
-    tx: Option<Sender<Job>>,
+    queue: Arc<Queue>,
     workers: Vec<JoinHandle<()>>,
-    /// Jobs submitted but not yet picked up by a worker, mirrored into the
-    /// engine registry's `quest_serve_queue_depth` gauge — windowed, so a
-    /// scrape also sees the `_min`/`_max` the depth reached between scrapes.
-    queue_depth: WindowedGauge,
 }
 
 impl<W: SourceWrapper + Send + Sync + 'static> QueryService<W> {
@@ -74,79 +160,51 @@ impl<W: SourceWrapper + Send + Sync + 'static> QueryService<W> {
     /// — e.g. one whose caches another service or a direct caller is also
     /// using.
     pub fn over(shared: Arc<CachedEngine<W>>, workers: usize) -> QueryService<W> {
-        let (tx, rx) = mpsc::channel::<Job>();
-        let rx = Arc::new(Mutex::new(rx));
-        let queue_depth = shared.metrics().windowed_gauge(names::QUEUE_DEPTH);
+        let engine = Arc::clone(&shared);
+        let queue = Arc::new(Queue {
+            search: Box::new(move |raw, scratch| engine.search_with(raw, scratch)),
+            pending: Mutex::default(),
+            ready: Condvar::new(),
+            depth: shared.metrics().windowed_gauge(names::QUEUE_DEPTH),
+        });
         let workers = (1..=workers.max(1))
             .map(|i| {
-                let rx = Arc::clone(&rx);
-                let engine = Arc::clone(&shared);
-                let queue_depth = queue_depth.clone();
-                std::thread::Builder::new()
+                let queue = Arc::clone(&queue);
+                thread::Builder::new()
                     .name(format!("quest-serve-{i}"))
-                    .spawn(move || {
-                        // One scratch per worker: emission/decoder buffers
-                        // are reused across every query this thread serves.
-                        let mut scratch = SearchScratch::new();
-                        loop {
-                            // Hold the queue lock only for the pop, never
-                            // for the search.
-                            let job = {
-                                let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-                                guard.recv()
-                            };
-                            match job {
-                                Ok(job) => {
-                                    // Claimed by this worker: no longer
-                                    // waiting in the queue.
-                                    queue_depth.add(-1);
-                                    // The submitter may have dropped its
-                                    // ticket; a failed reply send is not an
-                                    // error.
-                                    let _ =
-                                        job.reply.send(engine.search_with(&job.raw, &mut scratch));
-                                }
-                                // Queue closed: service is shutting down.
-                                Err(_) => break,
-                            }
-                        }
-                    })
+                    .spawn(move || queue.work())
                     .expect("spawning a worker thread succeeds")
             })
             .collect();
         QueryService {
             shared,
-            tx: Some(tx),
+            queue,
             workers,
-            queue_depth,
         }
     }
 
     /// Enqueue one raw keyword query; the returned [`Ticket`] resolves to
     /// the same outcome an uncached `Quest::search` would produce.
     pub fn submit(&self, raw_query: &str) -> Ticket {
-        let Some(tx) = &self.tx else {
-            return Ticket::dead();
-        };
-        let (reply, rx) = mpsc::channel();
-        let job = Job {
-            raw: raw_query.to_string(),
-            reply,
-        };
-        // Count before the send so a worker's decrement can never observe
-        // the job without its increment; roll back if the queue is closed.
-        self.queue_depth.add(1);
-        match tx.send(job) {
-            Ok(()) => Ticket { rx },
-            Err(_) => {
-                self.queue_depth.add(-1);
-                Ticket::dead()
-            }
-        }
+        let raw = raw_query.to_string();
+        self.enqueue(Job {
+            raw,
+            ..Job::default()
+        })
+    }
+
+    fn enqueue(&self, job: Job) -> Ticket {
+        let job = Arc::new(job);
+        // Count before the push so a claim can never decrement first.
+        self.queue.depth.add(1);
+        lock(&self.queue.pending).0.push_back(Arc::clone(&job));
+        self.queue.ready.notify_one();
+        let queue = Arc::clone(&self.queue);
+        Ticket { job, queue }
     }
 
     /// Enqueue a batch; tickets come back in submission order while the
-    /// queries themselves run on whichever workers are free.
+    /// queries themselves run on whichever threads are free.
     pub fn submit_batch<I, S>(&self, queries: I) -> Vec<Ticket>
     where
         I: IntoIterator<Item = S>,
@@ -173,7 +231,7 @@ impl<W: SourceWrapper + Send + Sync + 'static> QueryService<W> {
     /// scrape interval reports its own min/max.
     pub fn stats(&self) -> ServeStats {
         let stats = self.shared.stats();
-        self.queue_depth.reset_window();
+        self.queue.depth.reset_window();
         stats
     }
 
@@ -185,8 +243,9 @@ impl<W: SourceWrapper + Send + Sync + 'static> QueryService<W> {
     }
 
     fn join_workers(&mut self) {
-        // Dropping the sender closes the queue; workers drain it and exit.
-        self.tx = None;
+        // Workers drain the queue, then exit once it is closed and empty.
+        lock(&self.queue.pending).1 = true;
+        self.queue.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -203,7 +262,206 @@ impl<W: SourceWrapper + Send + Sync + 'static> Drop for QueryService<W> {
 mod tests {
     use super::*;
     use crate::testutil::engine;
-    use quest_core::KeywordQuery;
+    use quest_core::{FullAccessWrapper, KeywordQuery};
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    type Service = QueryService<FullAccessWrapper>;
+
+    /// Long enough to never fire unless the service is stuck.
+    const STUCK: Duration = Duration::from_secs(30);
+
+    /// A callback run on whichever thread claims the job, just before its
+    /// search.
+    #[derive(Default)]
+    pub(super) struct Hook(Option<Box<dyn Fn() + Send + Sync>>);
+
+    impl Hook {
+        pub(super) fn run(&self) {
+            if let Some(hook) = &self.0 {
+                hook();
+            }
+        }
+    }
+
+    impl fmt::Debug for Hook {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            f.write_str("Hook")
+        }
+    }
+
+    fn submit_hooked(
+        service: &Service,
+        raw: &str,
+        hook: impl Fn() + Send + Sync + 'static,
+    ) -> Ticket {
+        let hook = Hook(Some(Box::new(hook)));
+        service.enqueue(Job {
+            raw: raw.to_string(),
+            hook,
+            ..Job::default()
+        })
+    }
+
+    /// `ticket.wait()` on a fresh thread, so a waiter left blocked fails
+    /// the test instead of hanging it. Returns what `wait` returned or
+    /// panicked with, and the thread that waited.
+    fn wait_elsewhere(
+        ticket: Ticket,
+    ) -> (
+        thread::Result<Result<SearchOutcome, ServeError>>,
+        thread::ThreadId,
+    ) {
+        let (tx, waited) = mpsc::channel();
+        let waiter = thread::spawn(move || {
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(|| ticket.wait())));
+        });
+        let result = waited.recv_timeout(STUCK).expect("the waiter is woken");
+        let id = waiter.thread().id();
+        waiter.join().unwrap();
+        (result, id)
+    }
+
+    /// A service's only worker, parked inside a job until `release` fires;
+    /// `runs` counts how often that job ran.
+    struct Parked {
+        ticket: Ticket,
+        release: mpsc::Sender<()>,
+        runs: Arc<AtomicUsize>,
+    }
+
+    fn park_worker(service: &Service) -> Parked {
+        let (started, running) = mpsc::channel();
+        let (release, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&runs);
+        let ticket = submit_hooked(service, "fleming", move || {
+            counted.fetch_add(1, Ordering::SeqCst);
+            started.send(()).unwrap();
+            let _ = lock(&gate).recv();
+        });
+        running
+            .recv_timeout(STUCK)
+            .expect("the worker claimed the job");
+        Parked {
+            ticket,
+            release,
+            runs,
+        }
+    }
+
+    #[test]
+    fn tickets_are_send_and_debug() {
+        fn check<T: Send + fmt::Debug>() {}
+        check::<Ticket>();
+    }
+
+    #[test]
+    fn waiter_runs_its_unclaimed_job_and_no_job_runs_twice() {
+        let service = QueryService::new(CachedEngine::new(engine()), 1);
+        let parked = park_worker(&service);
+        // The only worker is busy, so nobody but the waiter can run this.
+        let (tx, ran_on) = mpsc::channel();
+        let runs = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&runs);
+        let helped = submit_hooked(&service, "wind fleming", move || {
+            counted.fetch_add(1, Ordering::SeqCst);
+            tx.send(thread::current().id()).unwrap();
+        });
+        let (out, waiter) = wait_elsewhere(helped);
+        assert_eq!(ran_on.try_recv().unwrap(), waiter, "the waiter ran it");
+        let out = out.unwrap().unwrap();
+        let direct = service.engine().engine().search("wind fleming").unwrap();
+        assert_eq!(out.explanations.len(), direct.explanations.len());
+        for (a, b) in out.explanations.iter().zip(&direct.explanations) {
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+            assert_eq!(a.statement, b.statement);
+        }
+        // The parked job was claimed by the worker: its waiter blocks for
+        // the worker's result instead of running it again.
+        parked.release.send(()).unwrap();
+        assert!(parked.ticket.wait().is_ok());
+        // Shutdown drains the helped job's queue entry without rerunning it.
+        let stats = service.shutdown();
+        assert_eq!(parked.runs.load(Ordering::SeqCst), 1);
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert_eq!(stats.queries, 2);
+    }
+
+    #[test]
+    fn a_panicking_search_on_a_worker_resolves_disconnected_and_the_worker_lives() {
+        let service = QueryService::new(CachedEngine::new(engine()), 1);
+        let (tx, ran) = mpsc::channel();
+        let ticket = submit_hooked(&service, "wind", move || {
+            tx.send(()).unwrap();
+            panic!("injected search panic");
+        });
+        // The hook ran before this thread waited, so the worker claimed it.
+        ran.recv_timeout(STUCK).expect("the worker claimed the job");
+        let (result, _) = wait_elsewhere(ticket);
+        assert!(matches!(result.unwrap(), Err(ServeError::Disconnected)));
+        // The same worker serves the next job.
+        let (tx, ran_on) = mpsc::channel();
+        let ticket = submit_hooked(&service, "wind", move || {
+            tx.send(thread::current().name().map(str::to_owned))
+                .unwrap();
+        });
+        let name = ran_on.recv_timeout(STUCK).expect("the worker is alive");
+        assert_eq!(name.as_deref(), Some("quest-serve-1"));
+        assert!(ticket.wait().is_ok());
+        assert_eq!(service.worker_count(), 1);
+    }
+
+    #[test]
+    fn a_panicking_search_on_the_waiter_reaches_its_caller() {
+        let service = QueryService::new(CachedEngine::new(engine()), 1);
+        let parked = park_worker(&service);
+        let ticket = submit_hooked(&service, "wind", || panic!("injected search panic"));
+        let (caught, _) = wait_elsewhere(ticket);
+        assert!(caught.is_err(), "the panic propagates out of wait");
+        parked.release.send(()).unwrap();
+        assert!(parked.ticket.wait().is_ok());
+        assert!(service.submit("wind fleming").wait().is_ok());
+        assert_eq!(service.shutdown().queries, 2);
+    }
+
+    #[test]
+    fn concurrent_clients_claim_every_job_exactly_once() {
+        let shared = Arc::new(CachedEngine::new(engine()));
+        let service = QueryService::over(Arc::clone(&shared), 2);
+        let queries = ["wind", "fleming", "wind fleming"];
+        thread::scope(|s| {
+            for client in 0..4 {
+                let service = &service;
+                s.spawn(move || {
+                    let mut held = Vec::new();
+                    for i in 0..200 {
+                        let raw = queries[(client + i) % queries.len()];
+                        let ticket = service.submit(raw);
+                        match i % 3 {
+                            0 => assert_eq!(ticket.wait().unwrap().query.raw, raw),
+                            1 => held.push((raw, ticket)),
+                            _ => drop(ticket),
+                        }
+                        // Delayed waits: settle the held tickets in bursts.
+                        if held.len() == 5 || i == 199 {
+                            for (raw, ticket) in held.drain(..) {
+                                assert_eq!(ticket.wait().unwrap().query.raw, raw);
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        let stats = service.shutdown();
+        assert_eq!(stats.queries, 800, "every job ran once, dropped ones too");
+        let snap = shared.metrics().snapshot();
+        assert_eq!(snap.gauge(names::QUEUE_DEPTH), Some(0));
+        let min = snap.gauge(&format!("{}_min", names::QUEUE_DEPTH));
+        assert!(min.is_some_and(|m| m >= 0), "depth window min: {min:?}");
+    }
 
     #[test]
     fn submit_resolves_like_direct_search() {

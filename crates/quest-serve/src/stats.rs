@@ -251,7 +251,8 @@ pub mod names {
     pub const STAGE_COMBINE: &str = "quest_serve_stage_combine_ns";
     /// Forward passes actually computed (counter).
     pub const UNCACHED_FORWARD: &str = "quest_serve_uncached_forward_total";
-    /// Jobs submitted but not yet picked up by a worker (gauge).
+    /// Jobs submitted but not yet claimed by a worker or by their waiter
+    /// (gauge).
     pub const QUEUE_DEPTH: &str = "quest_serve_queue_depth";
     /// Snapshot-time mirror gauges of the non-registry counters.
     pub const MIRRORS: &[&str] = &[
@@ -304,7 +305,7 @@ impl ServeObs {
         registry.describe(names::LATENCY, "Per-search wall time, nanoseconds.");
         registry.describe(
             names::QUEUE_DEPTH,
-            "Jobs submitted but not yet claimed by a worker.",
+            "Jobs submitted but not yet claimed by a worker or their waiter.",
         );
         ServeObs {
             queries: registry.counter(names::QUERIES),
