@@ -11,56 +11,11 @@
 use std::cell::Cell;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use quest_bench::imdb_write_batch as batch;
 use quest_core::{FullAccessWrapper, Quest, QuestConfig};
 use quest_data::imdb::{generate, ImdbScale};
 use quest_serve::{ApplyReport, CachedEngine};
 use quest_shard::{ShardConfig, ShardedStore};
-use quest_wal::ChangeRecord;
-use relstore::Value;
-
-/// Ids written by the bench start far above generated ones.
-const ID_BASE: i64 = 9_000_000;
-
-/// Batch `k`: insert person and movie `k`, retitle movie `k - 1`, delete
-/// movie `k - 2`. Every record applies when batches run in order from
-/// `k = 0`.
-fn batch(k: i64) -> Vec<ChangeRecord> {
-    let person = ID_BASE + 2 * k;
-    let movie = person + 1;
-    let movie_row = |id: i64, director: i64, title: &str| -> Vec<Value> {
-        vec![
-            id.into(),
-            title.into(),
-            2024.into(),
-            Value::float(7.5),
-            director.into(),
-        ]
-    };
-    let mut records = vec![
-        ChangeRecord::Insert {
-            table: "person".into(),
-            row: vec![person.into(), "Bench Director".into(), 1970.into()],
-        },
-        ChangeRecord::Insert {
-            table: "movie".into(),
-            row: movie_row(movie, person, "Bench Premiere"),
-        },
-    ];
-    if k >= 1 {
-        records.push(ChangeRecord::Update {
-            table: "movie".into(),
-            key: vec![(movie - 2).into()],
-            row: movie_row(movie - 2, person - 2, "Bench Retitled"),
-        });
-    }
-    if k >= 2 {
-        records.push(ChangeRecord::Delete {
-            table: "movie".into(),
-            key: vec![(movie - 4).into()],
-        });
-    }
-    records
-}
 
 /// The next batch index; warm-up and sampling share one sequence.
 fn next(counter: &Cell<i64>) -> i64 {

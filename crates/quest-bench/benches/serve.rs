@@ -1,12 +1,12 @@
 //! Criterion bench — serving throughput: the serial engine vs the
 //! `quest-serve` pool at growing worker counts, on the IMDB workload stream
-//! (cache warm, the steady state of a long-running service), and the cost
-//! of the service hand-off itself: one client submitting and waiting per
-//! warm query against the same queries searched directly.
+//! (cache warm, the steady state of a long-running service), the cost of
+//! the service hand-off itself (one client submitting and waiting per warm
+//! query against the same queries searched directly), and the miss path
+//! that a write batch forces on every query.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use quest_bench::{engine_for, shuffled_stream, Dataset};
-use quest_core::SearchScratch;
+use quest_bench::{engine_for, imdb_write_batch, shuffled_stream, Dataset};
 use quest_serve::{CachedEngine, QueryService};
 
 fn bench_serial_vs_workers(c: &mut Criterion) {
@@ -57,13 +57,10 @@ fn bench_hand_off(c: &mut Criterion) {
     }
 
     // The same warm engine and caches, searched on the calling thread.
-    let mut scratch = SearchScratch::new();
     g.bench_function("warm_direct", |b| {
         b.iter(|| {
             for q in &queries {
-                let _ = service
-                    .engine()
-                    .search_with(std::hint::black_box(q), &mut scratch);
+                let _ = service.engine().search(std::hint::black_box(q));
             }
         })
     });
@@ -72,6 +69,29 @@ fn bench_hand_off(c: &mut Criterion) {
         b.iter(|| {
             for q in &queries {
                 let _ = service.submit(std::hint::black_box(q)).wait();
+            }
+        })
+    });
+    // One write batch, then each distinct query once: the batch retires
+    // every cached answer and interpretation and rebuilds the join-template
+    // memo, so every query runs the whole miss path. Each iteration is one
+    // apply plus 12 searches.
+    let distinct: Vec<String> = Dataset::Imdb
+        .workload()
+        .into_iter()
+        .map(|wq| wq.raw)
+        .collect();
+    let mut k = 0;
+    g.bench_function("cold_after_apply", |b| {
+        b.iter(|| {
+            let report = service
+                .engine()
+                .apply(&imdb_write_batch(k))
+                .expect("applies");
+            assert!(report.all_applied());
+            k += 1;
+            for q in &distinct {
+                let _ = service.engine().search(std::hint::black_box(q));
             }
         })
     });

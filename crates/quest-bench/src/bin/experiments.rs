@@ -293,7 +293,10 @@ gate is on the steady state",
                         .num("cold_qps", qps(pooled_cold))
                         .num("warm_qps", qps(pooled_warm))
                         .num("forward_hit_rate", stats.forward_cache.hit_rate())
-                        .num("backward_hit_rate", stats.backward_cache.hit_rate())],
+                        .num("template_hit_rate", {
+                            let t = &stats.join_templates;
+                            t.hits as f64 / (t.hits + t.misses).max(1) as f64
+                        })],
                 )
                 .obj(
                     "stage_totals_ms",
@@ -1285,10 +1288,10 @@ fn e11_live_update() {
 fn e10_serve_throughput() {
     use quest_serve::{CachedEngine, QueryService};
 
-    println!("\n## E10 — serve-throughput: thread pool + stage caches vs serial engine\n");
+    println!("\n## E10 — serve-throughput: thread pool + answer cache vs serial engine\n");
     const REPS: usize = 40;
     let mut t = Table::new(&[
-        "dataset", "mode", "queries", "wall", "qps", "speedup", "fwd hit", "bwd hit",
+        "dataset", "mode", "queries", "wall", "qps", "speedup", "fwd hit", "tmpl hit",
     ]);
     let mut imdb_warm4_speedup = None;
     for ds in Dataset::ALL {
@@ -1345,9 +1348,9 @@ fn e10_serve_throughput() {
                     stats.forward_cache.hits - prev.forward_cache.hits,
                     stats.forward_cache.misses - prev.forward_cache.misses,
                 );
-                let bwd = rate(
-                    stats.backward_cache.hits - prev.backward_cache.hits,
-                    stats.backward_cache.misses - prev.backward_cache.misses,
+                let tmpl = rate(
+                    stats.join_templates.hits - prev.join_templates.hits,
+                    stats.join_templates.misses - prev.join_templates.misses,
                 );
                 prev = stats;
                 let speedup = serial_t.as_secs_f64() / wall.as_secs_f64().max(1e-9);
@@ -1362,7 +1365,7 @@ fn e10_serve_throughput() {
                     qps(wall),
                     format!("{speedup:.2}x"),
                     fwd,
-                    bwd,
+                    tmpl,
                 ]);
             }
             service.shutdown();

@@ -132,6 +132,51 @@ pub fn shuffled_stream(workload: &[WorkloadQuery], reps: usize, seed: u64) -> Ve
     stream
 }
 
+/// IMDB write batch `k`, shaped like the open-loop benchmark's writes:
+/// insert person and movie `k` (ids far above generated ones), retitle
+/// movie `k - 1`, delete movie `k - 2`. Every record applies when batches
+/// run in order from `k = 0` over generated IMDB data.
+pub fn imdb_write_batch(k: i64) -> Vec<quest_wal::ChangeRecord> {
+    use quest_wal::ChangeRecord;
+    use relstore::Value;
+
+    let person = 9_000_000 + 2 * k;
+    let movie = person + 1;
+    let movie_row = |id: i64, director: i64, title: &str| -> Vec<Value> {
+        vec![
+            id.into(),
+            title.into(),
+            2024.into(),
+            Value::float(7.5),
+            director.into(),
+        ]
+    };
+    let mut records = vec![
+        ChangeRecord::Insert {
+            table: "person".into(),
+            row: vec![person.into(), "Bench Director".into(), 1970.into()],
+        },
+        ChangeRecord::Insert {
+            table: "movie".into(),
+            row: movie_row(movie, person, "Bench Premiere"),
+        },
+    ];
+    if k >= 1 {
+        records.push(ChangeRecord::Update {
+            table: "movie".into(),
+            key: vec![(movie - 2).into()],
+            row: movie_row(movie - 2, person - 2, "Bench Retitled"),
+        });
+    }
+    if k >= 2 {
+        records.push(ChangeRecord::Delete {
+            table: "movie".into(),
+            key: vec![(movie - 4).into()],
+        });
+    }
+    records
+}
+
 /// Mean wall time of running a workload through an engine, per query.
 pub fn mean_query_latency(
     engine: &Quest<FullAccessWrapper>,

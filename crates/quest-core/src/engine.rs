@@ -189,7 +189,10 @@ pub struct SearchOutcome {
     pub configurations: Vec<Configuration>,
     /// Ranked explanations (the answer).
     pub explanations: Vec<Explanation>,
-    /// Per-stage timings.
+    /// Per-stage timings of the search that computed this outcome. A
+    /// serving layer that caches whole outcomes (`quest-serve`'s
+    /// `CachedEngine`) returns a hit with the timings of the search that
+    /// filled its slot, not of the lookup.
     pub timings: StageTimings,
     /// Effective `O_Cf` used (after adaptation).
     pub effective_o_cf: f64,

@@ -312,8 +312,9 @@ struct ArenaEntry {
 /// Reusable flat buffers for [`top_k_steiner_with`] and
 /// [`steiner_lower_bound_with`]: the entry arena and pooled edge lists, the
 /// frontier index heap, per-state popped lists, the per-node merge index,
-/// terminal bitmasks, epoch-stamped visited marks for the cycle check, and
-/// the 1-best pass's distance/settled tables.
+/// terminal bitmasks, epoch-stamped visited marks for the cycle and
+/// tree-validity checks, the canonical edge keys of a full-mask candidate,
+/// and the 1-best pass's distance/settled tables.
 ///
 /// One scratch serves any number of sequential enumerations; buffers are
 /// sized on entry and never shrunk, so a warm scratch allocates nothing.
@@ -328,6 +329,7 @@ pub struct SteinerScratch {
     term_bit: Vec<u32>,
     union_mark: Vec<u32>,
     union_epoch: u32,
+    tree_keys: Vec<(NodeId, NodeId)>,
     lb_dist: Vec<f64>,
     lb_settled: Vec<bool>,
     lb_node_masks: Vec<Vec<u32>>,
@@ -537,6 +539,46 @@ impl SteinerScratch {
             self.edge_pool.truncate(start);
             None
         }
+    }
+
+    /// Load a full-mask candidate's canonical edge keys (sorted, deduplicated)
+    /// into `tree_keys` and decide whether the reference would emit its
+    /// tree: valid (edges plus terminals span `|edges| + 1` nodes, counted
+    /// with the epoch marks) and not already emitted. Allocates nothing;
+    /// the caller builds a [`SteinerTree`] only for a kept candidate.
+    ///
+    /// The reference's super-tree check is not needed here: every leaf of
+    /// an emitted tree is a terminal (a grow moves the root, a merge gives
+    /// the root degree >= 2, and full-mask entries are never grown), and a
+    /// tree strictly containing another tree over the same terminals would
+    /// need a leaf outside it. So a candidate is a super-tree of an emitted
+    /// tree only when their edge sets are equal, which the duplicate check
+    /// already rejects.
+    fn keeps_full_tree(
+        &mut self,
+        graph: &Graph,
+        (estart, elen): (u32, u32),
+        terms: &[NodeId],
+        results: &[SteinerTree],
+    ) -> bool {
+        self.tree_keys.clear();
+        for i in estart..estart + elen {
+            let ei = self.edge_pool[i as usize];
+            self.tree_keys.push(graph.edge(ei as usize).key());
+        }
+        self.tree_keys.sort_unstable();
+        self.tree_keys.dedup();
+        let epoch = self.next_union_epoch();
+        let keys = &self.tree_keys;
+        let mut nodes = 0usize;
+        let ends = keys.iter().flat_map(|&(a, b)| [a, b]);
+        for v in ends.chain(terms.iter().copied()) {
+            if self.union_mark[v.0 as usize] != epoch {
+                self.union_mark[v.0 as usize] = epoch;
+                nodes += 1;
+            }
+        }
+        nodes == keys.len() + 1 && !results.iter().any(|r| r.edges() == keys.as_slice())
     }
 
     /// 1-best DPBF (Ding et al.): plain Dijkstra over the flat
@@ -786,21 +828,12 @@ pub fn top_k_steiner_with(
         }
 
         if entry.mask == full {
-            let keys: Vec<(NodeId, NodeId)> = scratch
-                .pool_slice(entry.estart, entry.elen)
-                .iter()
-                .map(|&ei| graph.edge(ei as usize).key())
-                .collect();
-            let tree = SteinerTree::new(keys, entry.cost, terms.clone());
-            if is_valid_tree(&tree) {
-                let dup = results.iter().any(|r| r.edges() == tree.edges());
-                let redundant =
-                    cfg.suppress_supertrees && results.iter().any(|r| r.is_subtree_of(&tree));
-                if !dup && !redundant {
-                    results.push(tree);
-                    if results.len() >= cfg.k {
-                        break;
-                    }
+            let span = (entry.estart, entry.elen);
+            if scratch.keeps_full_tree(graph, span, &terms, &results) {
+                let keys = scratch.tree_keys.clone();
+                results.push(SteinerTree::new(keys, entry.cost, terms.clone()));
+                if results.len() >= cfg.k {
+                    break;
                 }
             }
             continue; // growing a complete tree only adds dead weight

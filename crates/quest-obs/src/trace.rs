@@ -20,8 +20,8 @@ pub enum TemplateOutcome {
     Hit,
     /// At least one template had to be computed.
     Miss,
-    /// The memo was not consulted (e.g. every configuration came from the
-    /// backward result cache).
+    /// The memo was not consulted (e.g. the answer came from a serving
+    /// layer's cache).
     #[default]
     Unused,
 }
@@ -54,12 +54,9 @@ pub struct QueryTrace {
     pub backward_us: u64,
     /// Assembly wall, microseconds.
     pub assemble_us: u64,
-    /// Whether the forward stage was served from the cache.
+    /// Whether the forward cache served the whole answer (then the
+    /// backward and assembly fields are zero).
     pub forward_cache_hit: bool,
-    /// Backward-cache hits across this query's configurations.
-    pub backward_cache_hits: u32,
-    /// Backward-cache misses (Steiner enumerations actually run).
-    pub backward_cache_misses: u32,
     /// What the join-path template memo did (best-effort under concurrency:
     /// the delta of shared counters can blend in a concurrent query's work).
     pub template_memo: TemplateOutcome,

@@ -1,13 +1,13 @@
 //! A bounded LRU cache with hit/miss accounting.
 //!
-//! The serving layer keeps two of these in front of the engine — one for
-//! forward-stage results, one for backward-stage (Steiner) results. The
-//! implementation is a slab of doubly-linked entries plus a `HashMap` from
-//! key to slab slot, so `get` and `insert` are O(1) apart from hashing; no
-//! allocation happens on a hit. Freed slots drop their payloads eagerly
-//! (the slab stores `Option<Slot>`), so an epoch purge via
-//! [`LruCache::retain`] actually releases the dead entries' memory instead
-//! of parking it until the slot is reused.
+//! The serving layer keeps one of these in front of the engine, holding
+//! assembled answers. The implementation is a slab of doubly-linked
+//! entries plus a `HashMap` from key to slab slot, so `get` and `insert`
+//! are O(1) apart from hashing; no allocation happens on a hit. Freed
+//! slots give up their payloads at once (the slab stores `Option<Slot>`):
+//! eviction drops them, and an epoch purge via [`LruCache::retain`] hands
+//! them back to the caller instead of parking them until the slot is
+//! reused.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -149,15 +149,17 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
         self.push_front(i);
     }
 
-    /// Drop every entry whose key fails `pred`, freeing their slots for
-    /// reuse. Recency of survivors is unchanged; counters are preserved.
-    /// The serving layer uses this to purge entries keyed by dead epochs
-    /// instead of letting them squat until capacity-evicted.
-    pub fn retain(&mut self, mut pred: impl FnMut(&K) -> bool) {
+    /// Remove every entry whose key fails `pred`, freeing their slots for
+    /// reuse, and return the removed entries. Recency of survivors is
+    /// unchanged; counters are preserved. The serving layer uses this to
+    /// purge entries keyed by dead epochs instead of letting them squat
+    /// until capacity-evicted, and drops what it gets back only after
+    /// releasing the lock that guards the cache.
+    pub fn retain(&mut self, mut pred: impl FnMut(&K) -> bool) -> Vec<(K, V)> {
         // Nothing to scan, nothing to drop — and no scan counted, so a
         // caller that over-purges an empty cache stays visible as zero.
         if self.map.is_empty() {
-            return;
+            return Vec::new();
         }
         self.retain_scans += 1;
         let dead: Vec<usize> = self
@@ -166,14 +168,17 @@ impl<K: Eq + Hash + Clone, V: Clone> LruCache<K, V> {
             .filter(|(k, _)| !pred(k))
             .map(|(_, &i)| i)
             .collect();
+        let mut removed = Vec::with_capacity(dead.len());
         for i in dead {
             self.detach(i);
-            // Take the slot out so key and value drop *now*, not whenever
-            // the freed slot happens to be reused.
+            // Take the slot out so nothing of it stays parked until the
+            // freed slot happens to be reused.
             let slot = self.slots[i].take().expect("dead slot is live");
             self.map.remove(&slot.key);
             self.free.push(i);
+            removed.push((slot.key, slot.value));
         }
+        removed
     }
 
     /// Drop every entry; hit/miss counters are preserved.
@@ -330,8 +335,11 @@ mod tests {
         for p in &payloads {
             assert_eq!(Arc::strong_count(p), 2, "cache holds a reference");
         }
-        // Purging must release the references now, not on slot reuse.
-        c.retain(|_| false);
+        // Purging hands the entries back instead of parking them until
+        // slot reuse; dropping them releases the references.
+        let removed = c.retain(|_| false);
+        assert_eq!(removed.len(), 4);
+        drop(removed);
         for p in &payloads {
             assert_eq!(Arc::strong_count(p), 1, "purged payload was dropped");
         }

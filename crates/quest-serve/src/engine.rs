@@ -2,29 +2,35 @@
 //! [`Quest`] that also owns the serving layer's **live-data mutation
 //! path**.
 //!
-//! Two bounded LRU caches sit in front of the pipeline's two expensive
-//! stages:
+//! One bounded LRU cache of answers sits in front of the pipeline:
+//! normalized keywords (+ data epoch + feedback epoch) → the assembled
+//! answer, a whole [`SearchOutcome`]. A hit returns it with the caller's
+//! own parsed query in place of the one that filled the slot, and runs no
+//! stage at all.
 //!
-//! * **forward** — normalized keywords (+ data epoch + feedback epoch) →
-//!   the full [`ForwardResult`] (both operating-mode decodes and their DST
-//!   combination);
-//! * **backward** — a configuration's term sequence (+ data epoch) → its
-//!   top-k Steiner interpretations.
-//!
-//! Both stages are pure functions of their key for a fixed engine state, so
+//! The answer is a pure function of its key for a fixed engine state, so
 //! caching is semantically transparent: a cached search returns bit-identical
-//! explanations and scores to an uncached [`Quest::search_query`]. Two
-//! monotonic epochs version that state:
+//! explanations and scores to an uncached [`Quest::search_query`]. An answer
+//! reads the normalized keywords (never the raw text), the configurations
+//! and interpretations, the engine config (fixed behind a `CachedEngine`)
+//! and the data (through empty-result pruning); the key's two monotonic
+//! epochs version everything else:
 //!
 //! * the **feedback epoch** ([`Quest::feedback_epoch`]) advances on user
-//!   feedback and EM refinement and retires forward entries only;
+//!   feedback and EM refinement;
 //! * the **data epoch** ([`CachedEngine::data_epoch`]) advances on every
-//!   mutation batch applied through [`CachedEngine::apply`] and retires
-//!   *both* caches — backward results embed instance-derived join weights.
+//!   mutation batch applied through [`CachedEngine::apply`].
 //!
-//! Entries keyed by a dead epoch can never match again, so on the first
-//! search after an epoch bump they are purged outright rather than left to
-//! squat in the LRU until capacity-evicted.
+//! Entries keyed by a dead epoch can never match again, so they are purged
+//! outright after an epoch bump rather than left to squat in the LRU until
+//! capacity-evicted.
+//!
+//! A miss runs the whole pipeline on a search scratch kept per thread, so
+//! every caller — a [`crate::QueryService`] worker or waiter, a replica, a
+//! scatter gateway — reuses its decoder, emission and Steiner buffers
+//! across queries. Distinct queries that reach the same Steiner terminals
+//! share interpretations through the engine's join-template memo (see
+//! [`Quest::backward_pass_with`]), which every resync rebuilds.
 //!
 //! Mutations serialize against searches through an `RwLock`: searches share
 //! the read side, a mutation batch takes the write side, applies its
@@ -34,15 +40,14 @@
 //! batch are bit-identical to a cold engine built over the mutated data
 //! (asserted by `tests/serve.rs`).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
-use quest_core::backward::Interpretation;
-use quest_core::term::DbTerm;
 use quest_core::{
-    Configuration, Explanation, ForwardResult, FullAccessWrapper, KeywordQuery, Quest, QuestError,
-    SearchOutcome, SearchScratch, SourceWrapper,
+    Configuration, Explanation, FullAccessWrapper, KeywordQuery, Quest, QuestError, SearchOutcome,
+    SearchScratch, SourceWrapper,
 };
 use quest_obs::{
     duration_us, HealthInputs, MetricsRegistry, QueryTrace, SloSpec, TemplateOutcome, TraceConfig,
@@ -57,22 +62,16 @@ use crate::stats::{names, CacheStats, ServeObs, ServeStats};
 /// Cache-tuning knobs of the serving layer.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Entries of the forward cache (distinct keyword queries per epoch
-    /// pair). 0 disables it.
+    /// Entries of the forward cache: assembled answers, one per distinct
+    /// normalized keyword query and epoch pair. 0 disables it.
     pub forward_capacity: usize,
-    /// Entries of the backward cache (distinct configurations per data
-    /// epoch). 0 disables it.
-    pub backward_capacity: usize,
 }
 
 impl Default for CacheConfig {
     fn default() -> Self {
         CacheConfig {
-            // A workload's distinct-query set is small next to its volume;
-            // configurations are shared across queries, so the backward
-            // cache earns a larger budget.
+            // A workload's distinct-query set is small next to its volume.
             forward_capacity: 1024,
-            backward_capacity: 4096,
         }
     }
 }
@@ -83,10 +82,23 @@ impl Default for CacheConfig {
 /// share a slot).
 type ForwardKey = (u64, u64, Vec<(String, bool)>);
 
-/// Backward-cache key: data epoch plus the configuration's term sequence.
-type BackwardKey = (u64, Vec<DbTerm>);
+thread_local! {
+    /// One search scratch per thread, reused by every cache miss that
+    /// thread computes.
+    static SCRATCH: Cell<SearchScratch> = Cell::default();
+}
 
-/// A [`Quest`] engine plus the two stage caches, serving counters, and the
+/// Run `f` on this thread's scratch. It is taken out for the call, so a
+/// search that panics leaves a fresh scratch behind rather than
+/// half-written buffers.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
+    let mut scratch = SCRATCH.take();
+    let result = f(&mut scratch);
+    SCRATCH.set(scratch);
+    result
+}
+
+/// A [`Quest`] engine plus the answer cache, serving counters, and the
 /// mutation path.
 ///
 /// All methods take `&self`; wrap it in an [`std::sync::Arc`] to share one
@@ -102,16 +114,12 @@ pub struct CachedEngine<W: SourceWrapper> {
     /// Externally assigned progress marker (e.g. the replication LSN a
     /// replica engine has applied through); surfaced in [`ServeStats`].
     watermark: AtomicU64,
-    /// Epochs each cache was last purged for: `(data, feedback)` for the
-    /// forward cache, `data` for the backward cache (whose keys never
-    /// involve the feedback model). Per-cache marks keep a feedback-only
-    /// bump from ever touching the backward cache, and let each cache skip
-    /// its scan independently when its own keying epochs are unchanged.
-    purge_mark: Mutex<PurgeMark>,
+    /// The `(data, feedback)` epochs the forward cache was last purged
+    /// for; see [`CachedEngine::purge_stale`].
+    purge_mark: Mutex<(u64, u64)>,
     // Values are Arc-wrapped so a hit clones a pointer inside the lock and
     // the (potentially large) payload copy happens outside it.
-    forward: Mutex<LruCache<ForwardKey, Arc<ForwardResult>>>,
-    backward: Mutex<LruCache<BackwardKey, Arc<Vec<Interpretation>>>>,
+    forward: Mutex<LruCache<ForwardKey, Arc<SearchOutcome>>>,
     obs: ServeObs,
     /// Optional SLO monitor ([`CachedEngine::set_slo`]): the declarative
     /// spec plus the rolling window [`CachedEngine::stats`] feeds. Strictly
@@ -130,21 +138,12 @@ struct SloMonitor {
 /// [`QueryTrace`] (lazily — only when a ring wants it) by the caller.
 #[derive(Debug, Default)]
 struct SearchSpans {
-    forward: std::time::Duration,
-    backward: std::time::Duration,
-    assemble: std::time::Duration,
+    forward: Duration,
+    backward: Duration,
+    assemble: Duration,
     forward_cache_hit: bool,
-    backward_hits: u32,
-    backward_misses: u32,
     template_hits: u64,
     template_misses: u64,
-}
-
-/// See [`CachedEngine::purge_stale`].
-#[derive(Debug, Default)]
-struct PurgeMark {
-    forward: (u64, u64),
-    backward: u64,
 }
 
 impl<W: SourceWrapper> CachedEngine<W> {
@@ -179,9 +178,8 @@ impl<W: SourceWrapper> CachedEngine<W> {
             engine: RwLock::new(engine),
             data_epoch: AtomicU64::new(0),
             watermark: AtomicU64::new(0),
-            purge_mark: Mutex::new(PurgeMark::default()),
+            purge_mark: Mutex::new((0, 0)),
             forward: Mutex::new(LruCache::new(caches.forward_capacity)),
-            backward: Mutex::new(LruCache::new(caches.backward_capacity)),
             obs: ServeObs::new(registry, trace),
             slo: Mutex::new(None),
         }
@@ -244,40 +242,37 @@ impl<W: SourceWrapper> CachedEngine<W> {
         });
     }
 
-    fn forward_cache(&self) -> MutexGuard<'_, LruCache<ForwardKey, Arc<ForwardResult>>> {
+    fn forward_cache(&self) -> MutexGuard<'_, LruCache<ForwardKey, Arc<SearchOutcome>>> {
         self.forward.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn backward_cache(&self) -> MutexGuard<'_, LruCache<BackwardKey, Arc<Vec<Interpretation>>>> {
-        self.backward.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// Purge cache entries keyed by epochs that can never match again.
-    /// Cheap when nothing changed (one mutex, two compares), and each cache
-    /// is scanned only when an epoch *its keys embed* moved: a
-    /// feedback-only bump never touches the backward cache, and a cache
-    /// whose own mark is current skips its scan entirely — scans happen
-    /// once per epoch change, not once per search (pinned by the
+    /// Cheap when nothing changed (one mutex, one compare): the cache is
+    /// scanned once per epoch change, not once per search (pinned by the
     /// `purge_scans` regression test).
     fn purge_stale(&self, data: u64, feedback: u64) {
-        let mut mark = self
-            .purge_mark
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        // Epochs are monotonic, so a pair at or below the mark comes from
-        // a thread that read the epochs before the last purge; letting it
-        // through would evict the *current* epoch's freshly cached entries
-        // and regress the mark into a purge ping-pong. (Purging is cache
-        // hygiene only — keys match exactly regardless.)
-        if (data, feedback) > mark.forward {
-            mark.forward = (data, feedback);
+        let dead = {
+            let mut mark = self
+                .purge_mark
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner);
+            // Epochs are monotonic, so a pair at or below the mark comes
+            // from a thread that read the epochs before the last purge;
+            // letting it through would evict the *current* epoch's freshly
+            // cached entries and regress the mark into a purge ping-pong.
+            // (Purging is cache hygiene only — keys match exactly
+            // regardless.)
+            if (data, feedback) <= *mark {
+                return;
+            }
+            *mark = (data, feedback);
             self.forward_cache()
-                .retain(|k| k.0 == data && k.1 == feedback);
-        }
-        if data > mark.backward {
-            mark.backward = data;
-            self.backward_cache().retain(|k| k.0 == data);
-        }
+                .retain(|k| k.0 == data && k.1 == feedback)
+        };
+        // Freed only now that both locks are released: dropping a cache
+        // full of answers takes far longer than unlinking it, and no
+        // search should wait on that.
+        drop(dead);
     }
 
     /// Run Algorithm 1 on a raw query string, through the caches.
@@ -286,33 +281,14 @@ impl<W: SourceWrapper> CachedEngine<W> {
         self.search_query(&query)
     }
 
-    /// [`CachedEngine::search`] with a caller-owned [`SearchScratch`] —
-    /// what [`crate::QueryService`] runs each query through, on a worker
-    /// or on the waiting caller (one scratch per thread, reused across
-    /// every query that thread runs).
-    pub fn search_with(
-        &self,
-        raw_query: &str,
-        scratch: &mut SearchScratch,
-    ) -> Result<SearchOutcome, QuestError> {
-        let query = KeywordQuery::parse(raw_query)?;
-        self.search_query_with(&query, scratch)
-    }
-
     /// Run Algorithm 1 on a parsed query, through the caches. Results are
-    /// identical to an uncached search on the wrapped engine.
+    /// identical to an uncached search on the wrapped engine. A miss
+    /// computes on a scratch kept per thread and reused across queries.
     pub fn search_query(&self, query: &KeywordQuery) -> Result<SearchOutcome, QuestError> {
-        self.search_query_with(query, &mut SearchScratch::new())
+        self.search_traced(query)
     }
 
-    /// [`CachedEngine::search_query`] with a caller-owned scratch; cache
-    /// misses run the engine's allocation-lean hot path instead of
-    /// allocating per query. Bit-identical results either way.
-    pub fn search_query_with(
-        &self,
-        query: &KeywordQuery,
-        scratch: &mut SearchScratch,
-    ) -> Result<SearchOutcome, QuestError> {
+    fn search_traced(&self, query: &KeywordQuery) -> Result<SearchOutcome, QuestError> {
         let t0 = Instant::now();
         // Drop any scatter deposits a panicking predecessor left on this
         // thread, so they cannot be attributed to this query.
@@ -324,7 +300,7 @@ impl<W: SourceWrapper> CachedEngine<W> {
             TraceCtx::detached(TraceKind::Query)
         };
         let mut spans = SearchSpans::default();
-        let result = self.search_inner(query, scratch, &mut spans, ctx);
+        let result = self.search_inner(query, &mut spans, ctx);
         let elapsed = t0.elapsed();
         self.obs.record(elapsed, result.is_ok());
         let shard_scatter_us = quest_obs::scatter::take();
@@ -338,8 +314,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
             backward_us: duration_us(spans.backward),
             assemble_us: duration_us(spans.assemble),
             forward_cache_hit: spans.forward_cache_hit,
-            backward_cache_hits: spans.backward_hits,
-            backward_cache_misses: spans.backward_misses,
             template_memo: TemplateOutcome::from_delta(spans.template_hits, spans.template_misses),
             shard_scatter_us,
         });
@@ -350,14 +324,12 @@ impl<W: SourceWrapper> CachedEngine<W> {
     fn search_inner(
         &self,
         query: &KeywordQuery,
-        scratch: &mut SearchScratch,
         spans: &mut SearchSpans,
         ctx: TraceCtx,
     ) -> Result<SearchOutcome, QuestError> {
-        // Memoized Steiner interpretations are valid for one engine state
-        // only; the engine read lock below pins that state for the whole
-        // search.
-        scratch.reset_query_state();
+        // Cached answers and memoized Steiner interpretations are valid for
+        // one engine state only; the engine read lock pins that state for
+        // the whole search.
         let engine = self.engine();
         // Both epochs are stable for the lifetime of the read guard except
         // the feedback epoch, which can advance concurrently (feedback only
@@ -374,32 +346,60 @@ impl<W: SourceWrapper> CachedEngine<W> {
                 .map(|k| (k.normalized.clone(), k.phrase))
                 .collect(),
         );
-        // Bind the lookup before matching: a guard born in a match
-        // scrutinee lives to the end of the match and would deadlock the
-        // insert below.
+        // A statement of its own, so the cache lock is released before a
+        // hit's payload is copied and before a miss computes.
         let t0 = Instant::now();
-        let cached_forward = self.forward_cache().get(&key);
-        spans.forward_cache_hit = cached_forward.is_some();
-        let forward = match cached_forward {
-            Some(hit) => (*hit).clone(), // payload copy happens off-lock
-            None => {
-                let computed = engine.forward_pass_with(query, scratch)?;
-                self.obs.record_uncached_forward(&computed.timings);
-                // Only cache if no feedback landed mid-computation; a result
-                // spanning an epoch boundary may mix old and new model state
-                // and must not be replayed.
-                if engine.feedback_epoch() == feedback_epoch {
-                    self.forward_cache().insert(key, Arc::new(computed.clone()));
-                }
-                computed
-            }
-        };
+        let cached = self.forward_cache().get(&key);
+        if let Some(hit) = cached {
+            // The key pins every input of the answer but the raw query
+            // text, which is the caller's own.
+            let mut outcome = SearchOutcome::clone(&hit);
+            outcome.query = query.clone();
+            let wall = t0.elapsed();
+            spans.forward_cache_hit = true;
+            spans.forward = wall;
+            quest_obs::spans().record_with(
+                ctx,
+                "query_forward",
+                Some(t0),
+                [Some(("cache_hit", 1)), None],
+            );
+            self.obs
+                .record_stage_walls(wall, Duration::ZERO, Duration::ZERO);
+            return Ok(outcome);
+        }
+        let outcome =
+            with_thread_scratch(|scratch| self.compute(&engine, query, t0, scratch, spans, ctx))?;
+        // Only cache if no feedback landed mid-computation; an answer
+        // spanning an epoch boundary may mix old and new model state and
+        // must not be replayed.
+        if engine.feedback_epoch() == feedback_epoch {
+            self.forward_cache().insert(key, Arc::new(outcome.clone()));
+        }
+        Ok(outcome)
+    }
+
+    /// A forward-cache miss: the forward pass, each configuration's
+    /// interpretations through the template memo, then assembly. `t0` is
+    /// when the search's forward lookup started.
+    fn compute(
+        &self,
+        engine: &Quest<W>,
+        query: &KeywordQuery,
+        t0: Instant,
+        scratch: &mut SearchScratch,
+        spans: &mut SearchSpans,
+        ctx: TraceCtx,
+    ) -> Result<SearchOutcome, QuestError> {
+        scratch.reset_query_state();
+        let forward = engine.forward_pass_with(query, scratch)?;
+        self.obs.record_uncached_forward(&forward.timings);
         let forward_wall = t0.elapsed();
         quest_obs::spans().record_with(
             ctx,
             "query_forward",
             Some(t0),
-            [Some(("cache_hit", spans.forward_cache_hit as u64)), None],
+            [Some(("cache_hit", 0)), None],
         );
 
         // The template memo's counters before/after bracket this query's
@@ -409,33 +409,10 @@ impl<W: SourceWrapper> CachedEngine<W> {
         let t0 = Instant::now();
         let mut interpretations = Vec::with_capacity(forward.configurations.len());
         for cfg in &forward.configurations {
-            let bkey: BackwardKey = (data_epoch, cfg.terms.clone());
-            let cached_backward = self.backward_cache().get(&bkey);
-            let interps = match cached_backward {
-                Some(hit) => {
-                    spans.backward_hits += 1;
-                    (*hit).clone()
-                }
-                None => {
-                    spans.backward_misses += 1;
-                    let computed = engine.backward_pass_with(cfg, scratch)?;
-                    self.backward_cache()
-                        .insert(bkey, Arc::new(computed.clone()));
-                    computed
-                }
-            };
-            interpretations.push(interps);
+            interpretations.push(engine.backward_pass_with(cfg, scratch)?);
         }
         let backward_time = t0.elapsed();
-        quest_obs::spans().record_with(
-            ctx,
-            "query_backward",
-            Some(t0),
-            [
-                Some(("cache_hits", u64::from(spans.backward_hits))),
-                Some(("cache_misses", u64::from(spans.backward_misses))),
-            ],
-        );
+        quest_obs::spans().record(ctx, "query_backward", Some(t0));
         let templates_after = engine.backward().template_stats();
         spans.template_hits = templates_after.hits.saturating_sub(templates_before.hits);
         spans.template_misses = templates_after
@@ -475,10 +452,9 @@ impl<W: SourceWrapper> CachedEngine<W> {
         self.engine().feedback_configuration(config, positive)
     }
 
-    /// Drop all cached entries (counters are preserved).
+    /// Drop all cached answers (counters are preserved).
     pub fn clear_caches(&self) {
         self.forward_cache().clear();
-        self.backward_cache().clear();
     }
 
     /// A point-in-time snapshot of hit/miss/latency counters.
@@ -496,16 +472,6 @@ impl<W: SourceWrapper> CachedEngine<W> {
         {
             let c = self.forward_cache();
             stats.forward_cache = CacheStats {
-                hits: c.hits(),
-                misses: c.misses(),
-                entries: c.len(),
-                capacity: c.capacity(),
-                purge_scans: c.retain_scans(),
-            };
-        }
-        {
-            let c = self.backward_cache();
-            stats.backward_cache = CacheStats {
                 hits: c.hits(),
                 misses: c.misses(),
                 entries: c.len(),
@@ -538,22 +504,14 @@ impl<W: SourceWrapper> CachedEngine<W> {
         ] {
             registry.gauge(name).set(value);
         }
-        for (prefix, cache) in [
-            ("forward", &stats.forward_cache),
-            ("backward", &stats.backward_cache),
+        let cache = &stats.forward_cache;
+        for (name, value) in [
+            ("quest_serve_forward_cache_hits", cache.hits),
+            ("quest_serve_forward_cache_misses", cache.misses),
+            ("quest_serve_forward_cache_entries", cache.entries as u64),
+            ("quest_serve_forward_cache_purge_scans", cache.purge_scans),
         ] {
-            registry
-                .gauge(&format!("quest_serve_{prefix}_cache_hits"))
-                .set(cache.hits as i64);
-            registry
-                .gauge(&format!("quest_serve_{prefix}_cache_misses"))
-                .set(cache.misses as i64);
-            registry
-                .gauge(&format!("quest_serve_{prefix}_cache_entries"))
-                .set(cache.entries as i64);
-            registry
-                .gauge(&format!("quest_serve_{prefix}_cache_purge_scans"))
-                .set(cache.purge_scans as i64);
+            registry.gauge(name).set(value as i64);
         }
         stats.metrics = registry.snapshot();
         if let Some(monitor) = self
@@ -727,22 +685,93 @@ mod tests {
         assert_eq!(a.effective_o_cf, b.effective_o_cf);
     }
 
+    /// SQL text and score bits of every explanation, and the raw query.
+    fn answer(engine: &Quest<FullAccessWrapper>, out: &SearchOutcome) -> Vec<(String, u64)> {
+        let catalog = engine.wrapper().catalog();
+        let mut rows = vec![(out.query.raw.clone(), out.effective_o_cf.to_bits())];
+        rows.extend(
+            out.explanations
+                .iter()
+                .map(|e| (e.sql(catalog), e.score.to_bits())),
+        );
+        rows
+    }
+
+    /// Search `raw` cold, then warm: both answers equal the reference
+    /// pipeline's on the engine's current state, and the warm repeat is
+    /// served whole from the forward cache — no forward pass, no
+    /// join-template lookup.
+    fn assert_cold_and_warm_match_reference(cached: &CachedEngine<FullAccessWrapper>, raw: &str) {
+        let cold = cached.search(raw).unwrap();
+        let before = cached.stats();
+        let warm = cached.search(raw).unwrap();
+        let after = cached.stats();
+        assert_eq!(after.forward_cache.hits, before.forward_cache.hits + 1);
+        assert_eq!(
+            after.stages.uncached_forward,
+            before.stages.uncached_forward
+        );
+        let lookups = |s: &ServeStats| s.join_templates.hits + s.join_templates.misses;
+        assert_eq!(lookups(&after), lookups(&before), "{raw:?}: {after}");
+        let engine = cached.engine();
+        let reference = engine
+            .search_query_reference(&KeywordQuery::parse(raw).unwrap())
+            .unwrap();
+        let expected = answer(&engine, &reference);
+        assert_eq!(answer(&engine, &cold), expected, "cold {raw:?}");
+        assert_eq!(answer(&engine, &warm), expected, "warm {raw:?}");
+    }
+
     #[test]
     fn cached_search_matches_uncached() {
         let cached = CachedEngine::new(engine());
-        let reference = engine();
-        for raw in ["wind fleming", "fleming", "wind"] {
-            let a = cached.search(raw).unwrap(); // cold: fills caches
-            let b = cached.search(raw).unwrap(); // warm: from caches
-            let c = reference.search(raw).unwrap(); // uncached reference
-            same_outcome(&a, &c);
-            same_outcome(&b, &c);
+        let queries = ["wind fleming", "fleming", "wind"];
+        for raw in queries {
+            assert_cold_and_warm_match_reference(&cached, raw);
         }
         let stats = cached.stats();
         assert_eq!(stats.queries, 6);
         assert_eq!(stats.forward_cache.hits, 3);
         assert_eq!(stats.forward_cache.misses, 3);
-        assert!(stats.backward_cache.hits > 0);
+
+        // A feedback bump retires the cached answers; the misses that
+        // refill them, and the hits after, match the trained reference.
+        let query = KeywordQuery::parse("wind fleming").unwrap();
+        let best = cached.search("wind fleming").unwrap().explanations[0].clone();
+        for _ in 0..5 {
+            cached.feedback(&query, &best, true).unwrap();
+        }
+        for raw in queries {
+            assert_cold_and_warm_match_reference(&cached, raw);
+        }
+
+        // So does a mutation batch.
+        let report = cached
+            .apply(&[ChangeRecord::Insert {
+                table: "movie".into(),
+                row: vec![12.into(), "Wind Across the Everglades".into(), 1.into()],
+            }])
+            .unwrap();
+        assert!(report.all_applied());
+        for raw in queries {
+            assert_cold_and_warm_match_reference(&cached, raw);
+        }
+    }
+
+    #[test]
+    fn distinct_queries_share_join_templates() {
+        let cached = CachedEngine::new(engine());
+        let _ = cached.search("fleming").unwrap();
+        let filled = cached.stats();
+        assert_eq!(filled.join_templates.hits, 0);
+        assert!(filled.join_templates.misses > 0);
+        // Both name the same person, so they reach the same configuration
+        // and with it the same Steiner terminals.
+        let victor = cached.search("victor").unwrap();
+        let stats = cached.stats();
+        assert_eq!(stats.forward_cache.misses, 2, "a distinct answer slot");
+        assert!(stats.join_templates.hits > 0, "{stats}");
+        same_outcome(&victor, &engine().search("victor").unwrap());
     }
 
     #[test]
@@ -782,11 +811,8 @@ mod tests {
         }
         let stats = cached.stats();
         assert_eq!(stats.forward_cache.entries, 4);
-        let backward_before = stats.backward_cache.entries;
-        assert!(backward_before > 0);
 
-        // Feedback kills forward entries only; backward survives (it never
-        // depends on the feedback model).
+        // Feedback kills every answer built on the old model.
         let best = cached.search("wind").unwrap().explanations[0].clone();
         let query = KeywordQuery::parse("wind").unwrap();
         cached.feedback(&query, &best, true).unwrap();
@@ -796,22 +822,17 @@ mod tests {
             stats.forward_cache.entries, 1,
             "only the post-feedback entry remains: {stats}"
         );
-        assert_eq!(stats.backward_cache.entries, backward_before);
 
-        // A data mutation kills both.
+        // So does a data mutation, which purges them itself.
         cached
             .apply(&[ChangeRecord::Insert {
                 table: "person".into(),
                 row: vec![50.into(), "Orson Welles".into()],
             }])
             .unwrap();
+        assert_eq!(cached.stats().forward_cache.entries, 0);
         let _ = cached.search("welles").unwrap();
-        let stats = cached.stats();
-        assert_eq!(stats.forward_cache.entries, 1);
-        assert!(
-            stats.backward_cache.entries <= backward_before,
-            "dead-data-epoch backward entries were purged: {stats}"
-        );
+        assert_eq!(cached.stats().forward_cache.entries, 1);
     }
 
     #[test]
@@ -822,10 +843,8 @@ mod tests {
         }
         let stats = cached.stats();
         assert_eq!(stats.forward_cache.purge_scans, 0, "no epoch changed yet");
-        assert_eq!(stats.backward_cache.purge_scans, 0);
 
-        // Many searches after one feedback bump: exactly one forward scan;
-        // the backward cache (feedback-free keys) is never scanned.
+        // Many searches after one feedback bump: exactly one scan.
         let best = cached.search("wind").unwrap().explanations[0].clone();
         let query = KeywordQuery::parse("wind").unwrap();
         cached.feedback(&query, &best, true).unwrap();
@@ -834,10 +853,9 @@ mod tests {
         }
         let stats = cached.stats();
         assert_eq!(stats.forward_cache.purge_scans, 1, "{stats}");
-        assert_eq!(stats.backward_cache.purge_scans, 0, "{stats}");
 
-        // One mutation batch: one more scan per (non-empty) cache, no
-        // matter how many searches follow.
+        // One mutation batch: one more scan, no matter how many searches
+        // follow.
         cached
             .apply(&[ChangeRecord::Insert {
                 table: "person".into(),
@@ -849,14 +867,12 @@ mod tests {
         }
         let stats = cached.stats();
         assert_eq!(stats.forward_cache.purge_scans, 2, "{stats}");
-        assert_eq!(stats.backward_cache.purge_scans, 1, "{stats}");
     }
 
     #[test]
     fn stage_latency_counters_accumulate() {
         let cached = CachedEngine::new(engine());
-        let mut scratch = SearchScratch::new();
-        let _ = cached.search_with("wind fleming", &mut scratch).unwrap();
+        let _ = cached.search("wind fleming").unwrap();
         let cold = cached.stats();
         assert_eq!(cold.stages.uncached_forward, 1, "cold search computes");
         assert!(cold.stages.forward > std::time::Duration::ZERO);
@@ -865,7 +881,7 @@ mod tests {
 
         // A warm repeat adds wall time to the stage buckets but computes no
         // new forward pass.
-        let _ = cached.search_with("wind fleming", &mut scratch).unwrap();
+        let _ = cached.search("wind fleming").unwrap();
         let warm = cached.stats();
         assert_eq!(warm.stages.uncached_forward, 1, "warm search hits");
         assert_eq!(warm.stages.emissions, cold.stages.emissions);
@@ -980,7 +996,6 @@ mod tests {
             engine(),
             CacheConfig {
                 forward_capacity: 0,
-                backward_capacity: 0,
             },
         );
         let a = cached.search("wind fleming").unwrap();
@@ -994,13 +1009,18 @@ mod tests {
     #[test]
     fn normalization_shares_forward_slots() {
         let cached = CachedEngine::new(engine());
-        let _ = cached.search("Fleming").unwrap();
-        let _ = cached.search("  fleming  ").unwrap();
+        let first = cached.search("Fleming").unwrap();
+        let second = cached.search("  fleming  ").unwrap();
         let stats = cached.stats();
         assert_eq!(
             stats.forward_cache.hits, 1,
             "case/whitespace variants share one cache slot"
         );
+        // The shared answer carries each caller's own raw query.
+        assert_eq!(first.query.raw, "Fleming");
+        assert_eq!(second.query.raw, "  fleming  ");
+        assert_eq!(second.query.keywords[0].raw, "fleming");
+        same_outcome(&first, &second);
     }
 
     #[test]
@@ -1100,10 +1120,12 @@ mod tests {
         assert_eq!(cold.query, "wind fleming");
         assert!(!cold.forward_cache_hit, "first search computes forward");
         assert!(warm.forward_cache_hit, "repeat is served from the cache");
-        assert!(
-            cold.backward_cache_misses > 0,
-            "cold search enumerates at least one configuration"
+        assert_eq!(
+            cold.template_memo,
+            TemplateOutcome::Miss,
+            "cold search enumerates at least one Steiner tree set"
         );
+        assert_eq!(warm.template_memo, TemplateOutcome::Unused);
         for t in [cold, warm] {
             assert!(
                 t.forward_us + t.backward_us + t.assemble_us <= t.total_us,

@@ -4,17 +4,17 @@
 //! serving layer in front of it for analytical keyword-query streams, where
 //! many queries repeat the same schema terms and join paths:
 //!
-//! * [`CachedEngine`] — wraps a [`Quest`](quest_core::Quest) engine with two
-//!   bounded LRU caches (keyword → top-k configurations for the forward
-//!   stage; configuration → interpretations for the backward/Steiner stage)
-//!   and hit/miss/latency counters. Caching is semantically transparent:
+//! * [`CachedEngine`] — wraps a [`Quest`](quest_core::Quest) engine with a
+//!   bounded LRU answer cache (normalized keywords → the assembled answer,
+//!   so a repeat runs no stage) and hit/miss/latency counters. Caching is
+//!   semantically transparent:
 //!   results are bit-identical to the uncached engine. Two monotonic epochs
 //!   keep it that way under change — the engine's *feedback epoch* (user
 //!   feedback, EM refinement) and the serving layer's *data epoch*, bumped
 //!   by every live-data mutation batch applied through
 //!   [`CachedEngine::apply`] (a slice of
 //!   [`quest_wal::ChangeRecord`]s); entries keyed by dead epochs are purged
-//!   on the next search.
+//!   once per epoch change.
 //! * [`QueryService`] — a thread pool (std threads, one mutex-and-condvar
 //!   job queue, no external dependencies) draining submitted queries
 //!   through one shared `CachedEngine`, so every thread benefits from

@@ -9,7 +9,6 @@
 //! pair of caches, so repeated keywords and shared join paths turn into
 //! lookups no matter which thread serves them.
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
@@ -17,19 +16,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
-use quest_core::{QuestError, SearchOutcome, SearchScratch, SourceWrapper};
+use quest_core::{QuestError, SearchOutcome, SourceWrapper};
 use quest_obs::WindowedGauge;
 
 use crate::engine::CachedEngine;
 use crate::error::ServeError;
 use crate::stats::{names, ServeStats};
 
-type Search = dyn Fn(&str, &mut SearchScratch) -> Result<SearchOutcome, QuestError> + Send + Sync;
-
-thread_local! {
-    /// One scratch per thread, worker or waiter, reused across its queries.
-    static SCRATCH: Cell<SearchScratch> = Cell::default();
-}
+type Search = dyn Fn(&str) -> Result<SearchOutcome, QuestError> + Send + Sync;
 
 /// Every critical section here is one push, pop or store, so a lock that
 /// a panicking thread poisoned still guards valid data.
@@ -82,12 +76,7 @@ impl Queue {
     fn run(&self, job: &Job) -> Result<SearchOutcome, QuestError> {
         #[cfg(test)]
         job.hook.run();
-        // Taken out for the search, so one that panics leaves a fresh
-        // scratch behind rather than half-written buffers.
-        let mut scratch = SCRATCH.take();
-        let result = (self.search)(&job.raw, &mut scratch);
-        SCRATCH.set(scratch);
-        result
+        (self.search)(&job.raw)
     }
 
     /// The next job, or `None` once the queue is closed and drained.
@@ -162,7 +151,7 @@ impl<W: SourceWrapper + Send + Sync + 'static> QueryService<W> {
     pub fn over(shared: Arc<CachedEngine<W>>, workers: usize) -> QueryService<W> {
         let engine = Arc::clone(&shared);
         let queue = Arc::new(Queue {
-            search: Box::new(move |raw, scratch| engine.search_with(raw, scratch)),
+            search: Box::new(move |raw| engine.search(raw)),
             pending: Mutex::default(),
             ready: Condvar::new(),
             depth: shared.metrics().windowed_gauge(names::QUEUE_DEPTH),

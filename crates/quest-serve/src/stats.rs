@@ -6,7 +6,7 @@
 //! histogram, one histogram per pipeline stage (replacing the old flat
 //! wall-time sums — the sums are now derived from the histograms, which
 //! additionally give exact-bound p50/p95/p99). Cache hit/miss counts live
-//! inside each [`crate::LruCache`] and are mirrored into registry gauges at
+//! inside the answer cache's [`crate::LruCache`] and are mirrored into registry gauges at
 //! snapshot time, so one registry snapshot — and therefore one
 //! [`ServeStats::metrics`] and one `Display` rendering — covers every
 //! public counter. `Display` iterates the snapshot instead of a hand-kept
@@ -61,10 +61,13 @@ impl CacheStats {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageLatencies {
     /// Forward stage (cache lookup, and on a miss the full computation).
+    /// A hit spends all of its stage time here.
     pub forward: Duration,
-    /// Backward stage (cache lookups plus any Steiner enumeration).
+    /// Backward stage of misses (cache lookups plus any Steiner
+    /// enumeration); a hit adds zero.
     pub backward: Duration,
-    /// Final assembly: second DST combination, SQL building, ranking.
+    /// Final assembly of misses: second DST combination, SQL building,
+    /// ranking; a hit adds zero.
     pub assemble: Duration,
     /// Emission-matrix computation inside *uncached* forward passes.
     pub emissions: Duration,
@@ -95,9 +98,13 @@ pub struct ServeStats {
     pub shards: usize,
     /// Queries whose total wall cleared the slow-query threshold.
     pub slow_queries: u64,
-    /// Keyword → top-k-configurations cache (forward stage).
+    /// Normalized keywords → assembled answer cache: a hit is a whole
+    /// answer, a miss a computed search.
     pub forward_cache: CacheStats,
-    /// Configuration → interpretations cache (backward stage).
+    /// Always zero. The serving layer no longer caches interpretations
+    /// per configuration: a miss takes them from the engine's join-template
+    /// memo ([`ServeStats::join_templates`]), which answers the same
+    /// lookups. The field stays so code that reads it still builds.
     pub backward_cache: CacheStats,
     /// Per-engine memoized join-path templates inside the backward module
     /// (terminal set + k → interpretations). Rebuilt from scratch — all
@@ -164,15 +171,6 @@ impl fmt::Display for ServeStats {
             100.0 * self.forward_cache.hit_rate(),
             self.forward_cache.entries,
             self.forward_cache.capacity
-        )?;
-        writeln!(
-            f,
-            "backward cache: {}/{} hits ({:.1}%), {} of {} entries",
-            self.backward_cache.hits,
-            self.backward_cache.hits + self.backward_cache.misses,
-            100.0 * self.backward_cache.hit_rate(),
-            self.backward_cache.entries,
-            self.backward_cache.capacity
         )?;
         writeln!(
             f,
@@ -263,10 +261,6 @@ pub mod names {
         "quest_serve_forward_cache_misses",
         "quest_serve_forward_cache_entries",
         "quest_serve_forward_cache_purge_scans",
-        "quest_serve_backward_cache_hits",
-        "quest_serve_backward_cache_misses",
-        "quest_serve_backward_cache_entries",
-        "quest_serve_backward_cache_purge_scans",
         "quest_serve_join_template_hits",
         "quest_serve_join_template_misses",
         "quest_serve_join_template_entries",
@@ -484,7 +478,6 @@ mod tests {
         assert!(text.contains("queries: 5"));
         assert!(text.contains("forward cache"));
         assert!(text.contains("80.0%"));
-        assert!(text.contains("backward cache"));
         assert!(text.contains("join templates"));
         assert!(text.contains("stages:"));
     }

@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stream.len() as f64 / serial.as_secs_f64()
     );
 
-    // The service: same engine behind the thread pool and stage caches.
+    // The service: same engine behind the thread pool and answer cache.
     let service = QueryService::new(CachedEngine::new(engine), workers);
 
     // SLO monitoring: generous bounds a healthy demo never violates. The
